@@ -3,7 +3,11 @@
 fallback on a Groebner-basis workload.
 
 Runs the same benchmark twice in subprocesses (the kernel is chosen at
-import time) and prints the timings side by side.
+import time) and prints the timings side by side.  The child processes
+import torfan from this checkout's ``src``, so nothing has to be
+installed:
+
+    python3 benchmarks/bench_kernels.py
 """
 
 import json
@@ -11,6 +15,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WORKLOAD = textwrap.dedent(
     """
@@ -43,6 +50,8 @@ WORKLOAD = textwrap.dedent(
 
 def run(pure_python):
     env = dict(os.environ)
+    paths = [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     if pure_python:
         env["TORFAN_PURE_PYTHON"] = "1"
     else:

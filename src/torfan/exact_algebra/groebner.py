@@ -1,27 +1,19 @@
 """Buchberger's algorithm, normal forms, and finite quotient algebras.
 
-The pair queue uses the normal selection strategy (smallest lcm in
-grevlex) together with the product and chain criteria, and the final
-basis is reduced with unit leading coefficients.
+Pending S-pairs sit in a heap keyed by the grevlex order of their lcm,
+so each step takes the smallest lcm (the normal selection strategy) in
+O(log n); ties are broken by the index pair.  The product and chain
+criteria discard redundant pairs.  The final basis is minimalized and
+reduced with unit leading coefficients; a reduced Gröbner basis is
+unique, so the output does not depend on the order of the generators or
+of the pairs.
 """
 
+import heapq
 from fractions import Fraction
 
 from ..errors import InfiniteDimensional, RingMismatch
 from .poly import Polynomial, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
-
-
-def _reduce_once(f, reducers):
-    """Reduce every reducible term of f once; return (changed, result)."""
-    for m, c in f.sorted_terms():
-        for g in reducers:
-            lm = g.leading_monomial()
-            if mono_divides(lm, m):
-                factor = Polynomial(
-                    f.ring, {mono_div(m, lm): c / g.leading_coeff()}
-                )
-                return True, f - factor * g
-    return False, f
 
 
 def normal_form(f, G):
@@ -109,16 +101,23 @@ def groebner_basis(generators):
         if h:
             G.append(h.monic())
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    lms = [g.leading_monomial() for g in G]
+    queue = []
+    pairs = set()
 
-    def lcm_of(i, j):
-        return mono_lcm(G[i].leading_monomial(), G[j].leading_monomial())
+    def push_pair(i, j):
+        heapq.heappush(queue, (grevlex_key(mono_lcm(lms[i], lms[j])), i, j))
+        pairs.add((i, j))
 
-    while pairs:
-        i, j = min(pairs, key=lambda p: grevlex_key(lcm_of(*p)))
+    for j in range(len(G)):
+        for i in range(j):
+            push_pair(i, j)
+
+    while queue:
+        _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
-        lmi, lmj = G[i].leading_monomial(), G[j].leading_monomial()
-        lcm = lcm_of(i, j)
+        lmi, lmj = lms[i], lms[j]
+        lcm = mono_lcm(lmi, lmj)
         # product criterion: coprime leading monomials reduce to zero
         if lcm == mono_mul(lmi, lmj):
             continue
@@ -128,7 +127,7 @@ def groebner_basis(generators):
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if mono_divides(G[k].leading_monomial(), lcm):
+            if mono_divides(lms[k], lcm):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -138,20 +137,22 @@ def groebner_basis(generators):
             continue
         h = normal_form(_s_poly(G[i], G[j]), G)
         if h:
-            G.append(h.monic())
+            h = h.monic()
+            G.append(h)
+            lms.append(h.leading_monomial())
             new = len(G) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                push_pair(k, new)
 
     # minimalize: drop generators whose leading monomial is divisible
     # by another surviving generator's leading monomial
-    all_lms = [g.leading_monomial() for g in G]
     polys = []
     for i, g in enumerate(G):
-        lm = all_lms[i]
+        lm = lms[i]
         redundant = any(
             j != i
-            and mono_divides(all_lms[j], lm)
-            and (all_lms[j] != lm or j < i)
+            and mono_divides(lms[j], lm)
+            and (lms[j] != lm or j < i)
             for j in range(len(G))
         )
         if not redundant:

@@ -84,6 +84,9 @@ def trace(A):
 
 
 def to_numpy(A, dtype=complex):
+    """Numeric copy of a matrix; the empty matrix gives shape (0, 0)."""
+    if not A:
+        return np.zeros((0, 0), dtype=dtype)
     return np.array([[dtype(x) for x in row] for row in A], dtype=dtype)
 
 

@@ -68,13 +68,19 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: monomial tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: monomial tuple -> nonzero Fraction.
 
-    __slots__ = ("ring", "terms")
+    The ``terms`` dict must not be mutated once the polynomial is built:
+    the leading monomial is cached on first use, and every operation
+    returns a new polynomial instead.
+    """
+
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._lm = None
 
     # -- basic protocol ------------------------------------------------
 
@@ -156,7 +162,9 @@ class Polynomial:
     # -- structure -----------------------------------------------------
 
     def leading_monomial(self):
-        return max(self.terms, key=grevlex_key)
+        if self._lm is None:
+            self._lm = max(self.terms, key=grevlex_key)
+        return self._lm
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]

@@ -103,7 +103,7 @@ class JacAlgebra:
         return self.algebra.dimension
 
     def eigenvalues(self):
-        return complex_eigen(to_numpy(self.W_matrix))[0] if self.dimension else []
+        return complex_eigen(to_numpy(self.W_matrix))[0]
 
 
 def build_superpotential(P, twist=None):
@@ -402,7 +402,7 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
     from .quantum_algebra import c1_operator
 
     c1 = c1_operator(quantum, P)
-    eig_q = complex_eigen(to_numpy(c1))[0] if quantum.dimension else []
+    eig_q = complex_eigen(to_numpy(c1))[0]
     eig_w = J.eigenvalues()
     scale = max([abs(v) for v in list(eig_q) + list(eig_w)] + [1.0])
     nz_q = [v for v in eig_q if abs(v) > tol * scale]

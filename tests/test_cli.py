@@ -136,3 +136,15 @@ def test_blowup_command_vertex_counts(capsys):
     assert code == 0
     assert results["vertex_count_before"] == 1
     assert results["vertex_count_after"] == 3
+
+
+def test_sh_of_affine_space_is_zero(capsys):
+    # SH*(C^3) = 0: an empty omega operator, not a traceback
+    code, out, _ = run(
+        capsys, "sh", "--input", example("c3_blowup.json"), "--format", "json"
+    )
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["dimension"] == 0
+    assert results["kernel_dimension"] == 1
+    assert results["omega_eigenvalues"] == []

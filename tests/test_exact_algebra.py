@@ -1,5 +1,6 @@
 """Unit tests for the exact polynomial/linear-algebra layer."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import projective_space
 from torfan.errors import Inconsistent, InfiniteDimensional
 from torfan.exact_algebra import (
     KERNEL,
@@ -16,6 +18,7 @@ from torfan.exact_algebra import (
     char_min_poly,
     charpoly,
     complex_eigen,
+    grevlex_key,
     groebner_basis,
     identity,
     inverse,
@@ -31,6 +34,7 @@ from torfan.exact_algebra import (
     solve,
     to_numpy,
 )
+from torfan.superpotential import build_superpotential, jacobian_ring
 
 F = Fraction
 
@@ -69,6 +73,28 @@ def test_polynomial_arithmetic():
     assert (p - x * x - 2 * x * y - y * y).terms == {}
     assert p.evaluate([1.0, 2.0]) == pytest.approx(9.0)
     assert p.substitute("y", F(1)).terms == {(2, 0): F(1), (1, 0): F(2), (0, 0): F(1)}
+
+
+def test_cached_leading_monomial_after_arithmetic():
+    ring = Ring(("x", "y", "z"))
+    x, y, z = (ring.var(i) for i in range(3))
+    p = 3 * x * y ** 2 - z ** 3 + F(1, 2) * x
+    q = y ** 3 - 2 * x * z ** 2 + 5
+    for f in (p, q):
+        f.leading_monomial()
+    results = [
+        p + q,
+        p - q,
+        q - q.leading_coeff() * ring.monomial(q.leading_monomial()),
+        p * q,
+        p.monic(),
+        q.monic(),
+        p.substitute("y", z + 1),
+        q.substitute("z", F(2)),
+    ]
+    for f in [p, q] + results:
+        assert f.leading_monomial() == max(f.terms, key=grevlex_key)
+        assert f.leading_coeff() == f.terms[max(f.terms, key=grevlex_key)]
 
 
 def _to_sympy(f, syms):
@@ -121,6 +147,29 @@ def _from_sympy(expr, ring, syms):
         c = F(coeff.p, coeff.q)
         out = out + Polynomial(ring, {tuple(int(e) for e in mono): c})
     return out
+
+
+def test_groebner_basis_independent_of_generator_order():
+    ring = Ring(("x", "y", "z", "w"))
+    x, y, z, w = (ring.var(i) for i in range(4))
+    ideal = [
+        x ** 2 + y + z - 1,
+        x + y ** 2 + z - 1,
+        x + y + z ** 2 - 1,
+        w ** 2 - x * y,
+    ]
+    first = groebner_basis(ideal)
+    for order in itertools.permutations(ideal):
+        G = groebner_basis(list(order))
+        assert G == first
+        assert G.generators == first.generators
+
+
+def test_projective_jacobian_rings_have_dimension_m_plus_one():
+    # also a time guard: all seven rings together take well under a second
+    for m in range(2, 9):
+        _, P = projective_space(m)
+        assert jacobian_ring(build_superpotential(P)).dimension == m + 1
 
 
 def test_normal_form_is_zero_on_members():
