@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .exact_algebra import KERNEL
+# The monomial kernel is pure Python; perfbench/worker.py prints this on its info line.
+KERNEL = "python"
 
 __all__ = ["KERNEL", "__version__"]

@@ -8,6 +8,7 @@ validation errors.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -87,12 +88,28 @@ def _rational(value, where):
         raise ParseError(f"{where}: {value!r} is not a rational p/q")
 
 
+def _integer(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: {value!r} is not an integer")
+    return value
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list")
+    return value
+
+
+def _integers(value, where):
+    return [_integer(x, f"{where}[{i}]") for i, x in enumerate(_list(value, where))]
+
+
 def parse_fan_document(text):
     """JSON fan/polytope document -> (Fan, MomentPolytope, options).
 
     Cone and blow-up indices are 1-based in documents, 0-based in the
-    returned objects.  Options may carry ``twist``, ``bundle``, and
-    ``blowup`` entries.
+    returned objects.  Options may carry ``bundle`` and ``blowup``
+    entries.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -100,16 +117,27 @@ def parse_fan_document(text):
     for key in ("rank", "edges", "max_cones", "lambdas"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
-    rank = doc["rank"]
-    edges = [tuple(e) for e in doc["edges"]]
+    if "twist" in doc:
+        raise ParseError(
+            "field 'twist' is not supported: superpotential terms carry no coefficients"
+        )
+    rank = _integer(doc["rank"], "rank")
+    if rank < 1:
+        raise ValidationError(f"rank {rank} is not positive")
+    edges = [
+        tuple(_integers(e, f"edges[{i}]")) for i, e in enumerate(_list(doc["edges"], "edges"))
+    ]
+    if not edges:
+        raise ValidationError("a fan needs at least one edge")
     cones = []
-    for cone in doc["max_cones"]:
+    for c, cone in enumerate(_list(doc["max_cones"], "max_cones")):
+        cone = _integers(cone, f"max_cones[{c}]")
         for i in cone:
             if not 1 <= i <= len(edges):
                 raise ValidationError(f"cone index {i} out of range")
         cones.append(tuple(i - 1 for i in cone))
     lambdas = [
-        _rational(l, f"lambdas[{i}]") for i, l in enumerate(doc["lambdas"])
+        _rational(l, f"lambdas[{i}]") for i, l in enumerate(_list(doc["lambdas"], "lambdas"))
     ]
     try:
         fan = Fan.make(rank, edges, cones)
@@ -117,19 +145,17 @@ def parse_fan_document(text):
     except (ValidationError, ValueError, TypeError) as exc:
         raise ValidationError(str(exc))
     options = {}
-    if "twist" in doc:
-        options["twist"] = [float(x) for x in doc["twist"]]
     if "bundle" in doc:
         b = doc["bundle"]
-        if not isinstance(b, dict) or not ({"k", "n"} & set(b)):
-            raise ParseError("bundle needs a field k or n")
-        options["bundle"] = b
+        if not isinstance(b, dict) or set(b) != {"k"}:
+            raise ParseError("bundle must be an object with the one field k")
+        options["bundle"] = {"k": _integer(b["k"], "bundle.k")}
     if "blowup" in doc:
         b = doc["blowup"]
-        if "I" not in b:
+        if not isinstance(b, dict) or "I" not in b:
             raise ParseError("blowup needs a field I")
         options["blowup"] = {
-            "I": [i - 1 for i in b["I"]],
+            "I": [i - 1 for i in _integers(b["I"], "blowup.I")],
             "epsilon": _rational(b["epsilon"], "blowup.epsilon")
             if "epsilon" in b
             else None,
@@ -137,11 +163,20 @@ def parse_fan_document(text):
     return fan, P, options
 
 
+def _real(x, where):
+    try:
+        if not isinstance(x, bool) and math.isfinite(x):
+            return float(x)
+    except (TypeError, OverflowError):
+        pass
+    raise ParseError(f"{where}: {x!r} is not a finite number")
+
+
 def _coefficient(c, where):
-    if isinstance(c, (int, float)):
-        return complex(c)
-    if isinstance(c, list) and len(c) == 2:
-        return complex(c[0], c[1])
+    if not isinstance(c, list):
+        return complex(_real(c, where))
+    if len(c) == 2:
+        return complex(_real(c[0], where), _real(c[1], where))
     raise ParseError(f"{where}: coefficient must be a number or [re, im]")
 
 
@@ -153,9 +188,9 @@ def parse_matrix_document(text):
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError("matrix document needs a field 'entries'")
     rows = []
-    for i, row in enumerate(doc["entries"]):
+    for i, row in enumerate(_list(doc["entries"], "entries")):
         cells = []
-        for j, cell in enumerate(row):
+        for j, cell in enumerate(_list(row, f"entries[{i}]")):
             if not isinstance(cell, list):
                 raise ParseError(f"entries[{i}][{j}] must be a coefficient list")
             cells.append(
@@ -211,15 +246,10 @@ def _fan_to_doc(fan, P):
 
 def _apply_bundle(fan, P, options, k_flag):
     """Replace fan/P by the line-bundle total space when requested."""
-    k = None
-    if "bundle" in options:
-        k = options["bundle"].get("k")
-    if k_flag is not None:
-        k = k_flag
+    k = k_flag if k_flag is not None else options.get("bundle", {}).get("k")
     if k is None:
         return fan, P, None
-    fan_E, P_E, spec = nlb_from_k(fan, P, k)
-    return fan_E, P_E, spec
+    return nlb_from_k(fan, P, k)
 
 
 def _cmd_validate(fan, P, options, args, spec=None):
@@ -292,7 +322,7 @@ def _cmd_mirror(fan, P, options, args, spec=None):
             A.ring.zero(),
         )
         sh_algebra = sh_presentation(A, [omega_class])
-    W = build_superpotential(P, twist=options.get("twist"))
+    W = build_superpotential(P)
     J = jacobian_ring(W)
     report = mirror_check(fan, P, A, J, sh_algebra=sh_algebra)
     return {
@@ -308,7 +338,7 @@ def _cmd_mirror(fan, P, options, args, spec=None):
 
 
 def _cmd_critical(fan, P, options, args, spec=None):
-    W = build_superpotential(P, twist=options.get("twist"))
+    W = build_superpotential(P)
     points = critical_points(W, seed=args.seed)
     return {
         "count": len(points),

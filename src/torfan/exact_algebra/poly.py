@@ -10,16 +10,40 @@ package's rational scalar type throughout.
 from fractions import Fraction
 
 from ..errors import RingMismatch
-from . import _kernel
-
-mono_mul = _kernel.mono_mul
-mono_divides = _kernel.mono_divides
-mono_div = _kernel.mono_div
-mono_lcm = _kernel.mono_lcm
-grevlex_key = _kernel.grevlex_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True when a | b componentwise."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def mono_div(b, a):
+    """b / a, assuming divisibility."""
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def grevlex_key(a):
+    """Sort key realizing graded reverse lexicographic order.
+
+    Keys compare like the monomials: first by total degree, then
+    reverse-lexicographically (the monomial with the *smaller* exponent
+    on the last differing variable is larger).
+    """
+    return (sum(a),) + tuple(-e for e in reversed(a))
 
 
 class Ring:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Inconsistent, NotMonotone, ToleranceExceeded
+from .errors import Inconsistent, NotMonotone, ToleranceExceeded, ValidationError
 from .exact_algebra import (
     Polynomial,
     Ring,
@@ -101,7 +101,7 @@ def qh_presentation(fan, P, mode="compact"):
     quotient algebra at T=1."""
     report = validate_fan(fan)
     if not report.smooth:
-        raise ValueError("presentation requires a smooth fan")
+        raise ValidationError("presentation requires a smooth fan")
     r = len(fan.edges)
     names = tuple(f"x{i + 1}" for i in range(r))
     ring = Ring(names + ("T",))

@@ -54,24 +54,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Superpotential:
-    """One Laurent term per fan edge: t^{t_exponent} z^{edge}, with an
-    optional twist exponent on the auxiliary parameter s."""
+    """One Laurent term per fan edge: t^{t_exponent} z^{edge}."""
 
     rank: int
-    terms: tuple  # (edge tuple, t_exponent Fraction, s_exponent float | None)
+    terms: tuple  # (edge tuple, t_exponent Fraction)
 
     def coefficients(self, t_value=1):
         """Specialized rational coefficients, one per term."""
-        out = []
-        for _, t_exp, s_exp in self.terms:
-            if s_exp is not None:
-                raise ValueError("twisted terms need explicit coefficients")
-            c = Fraction(t_value) ** _integer(t_exp)
-            out.append(c)
-        return out
+        return [Fraction(t_value) ** _integer(t_exp) for _, t_exp in self.terms]
 
     def edges(self):
-        return [e for e, _, _ in self.terms]
+        return [e for e, _ in self.terms]
 
 
 def _integer(x):
@@ -106,17 +99,12 @@ class JacAlgebra:
         return complex_eigen(to_numpy(self.W_matrix))[0]
 
 
-def build_superpotential(P, twist=None):
+def build_superpotential(P):
     """One term per polytope edge, with t-exponent the negated support
-    number; ``twist`` supplies real form values F(e_i) whose negatives
-    become s-exponents."""
-    if twist is not None and len(twist) != len(P.edges):
-        raise ValueError("one twist value per edge required")
-    terms = []
-    for i, (e, l) in enumerate(zip(P.edges, P.lambdas)):
-        s_exp = -float(twist[i]) if twist is not None else None
-        terms.append((tuple(e), -Fraction(l), s_exp))
-    return Superpotential(P.rank, tuple(terms))
+    number."""
+    return Superpotential(
+        P.rank, tuple((tuple(e), -Fraction(l)) for e, l in zip(P.edges, P.lambdas))
+    )
 
 
 def _laurent_ring(n):
@@ -390,7 +378,7 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
         }
         derivative = {
             tuple(e): (Fraction(e[j]) , t_exp)
-            for (e, t_exp, _) in W.terms
+            for (e, t_exp) in W.terms
             if e[j]
         }
         if image != derivative:
@@ -458,7 +446,7 @@ def barycentre_landing_check(P, lam_X):
     for e, l in zip(P.edges, P.lambdas):
         if sum(Fraction(a) * b for a, b in zip(e, y)) - l != Fraction(1, lam_X):
             return False
-    base = Superpotential(P.rank, tuple((tuple(e), Fraction(0), None) for e in P.edges))
+    base = Superpotential(P.rank, tuple((tuple(e), Fraction(0)) for e in P.edges))
     pts = critical_points(base)
     if not pts:
         return False
@@ -527,7 +515,7 @@ def perturb_and_separate(P, seed, radius=Fraction(1, 100)):
     coeffs = [
         Fraction(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert
     ]
-    W = Superpotential(P.rank, tuple((tuple(e), Fraction(0), None) for e in P.edges))
+    W = Superpotential(P.rank, tuple((tuple(e), Fraction(0)) for e in P.edges))
     J = jacobian_ring(W, coefficients=coeffs)
     pts = critical_points(W, coefficients=coeffs, jac=J, seed=seed)
     values = [p.value for p in pts]

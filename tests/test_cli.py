@@ -6,6 +6,7 @@ from importlib.resources import files
 
 import pytest
 
+from torfan import errors
 from torfan.cli import main, parse_fan_document, parse_matrix_document
 
 EXAMPLES = files("torfan") / "examples"
@@ -148,3 +149,52 @@ def test_sh_of_affine_space_is_zero(capsys):
     assert results["dimension"] == 0
     assert results["kernel_dimension"] == 1
     assert results["omega_eigenvalues"] == []
+
+
+P2 = {
+    "rank": 2,
+    "edges": [[1, 0], [0, 1], [-1, -1]],
+    "max_cones": [[1, 2], [2, 3], [3, 1]],
+    "lambdas": ["0", "0", "-1"],
+}
+
+MALFORMED = [
+    ("mirror", {**P2, "twist": [0.1, 0.2, 0.3]}),
+    ("critical", {**P2, "twist": [0.1, 0.2]}),
+    ("qh", {**P2, "bundle": {"k": "a"}}),
+    ("validate", {**P2, "bundle": {"k": "a"}}),
+    ("qh", {**P2, "bundle": {"k": 1.5}}),
+    ("qh", {**P2, "bundle": {"k": True}}),
+    ("qh", {**P2, "bundle": {"n": [1, 1, 1]}}),
+    ("qh", {**P2, "bundle": 1}),
+    ("validate", {**P2, "edges": 5}),
+    ("validate", {**P2, "edges": [[1, 0], [0, "1"], [-1, -1]]}),
+    ("validate", {**P2, "edges": [[1, 0], [0, 1.5], [-1, -1]]}),
+    ("qh", {**P2, "edges": [[1, 0], [1, 2], [-1, -1]]}),
+    ("validate", {**P2, "max_cones": [[1, "2"], [2, 3], [3, 1]]}),
+    ("validate", {**P2, "max_cones": 3}),
+    ("validate", {**P2, "lambdas": 0}),
+    ("blowup", {**P2, "blowup": {"I": ["1", "2"]}}),
+    ("blowup", {**P2, "blowup": {"I": 1}}),
+    ("blowup", {**P2, "blowup": [1, 2]}),
+    ("mirror", {"rank": 0, "edges": [], "max_cones": [], "lambdas": []}),
+    ("critical", {"rank": 0, "edges": [], "max_cones": [], "lambdas": []}),
+    ("critical", {"rank": 2, "edges": [], "max_cones": [], "lambdas": []}),
+    ("qh", {**P2, "rank": "2"}),
+    ("kato", {"entries": [[[float("nan")], [0]], [[0], [1]]]}),
+    ("kato", {"entries": [[[[0, float("inf")]], [0]], [[0], [1]]]}),
+    ("kato", {"entries": [[["a", 0]], [[0], [1]]]}),
+    ("kato", {"entries": [1]}),
+    ("kato", {"entries": 1}),
+]
+
+
+@pytest.mark.parametrize("cmd,doc", MALFORMED)
+def test_malformed_document_exits_2_with_named_error(capsys, tmp_path, cmd, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, cmd, "--input", str(path))
+    name = err.strip().splitlines()[-1].split(":")[0]
+    assert code == 2
+    assert issubclass(getattr(errors, name), errors.TorfanError)
+    assert "Traceback" not in err

@@ -1,9 +1,6 @@
 """Unit tests for the exact polynomial/linear-algebra layer."""
 
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +9,6 @@ import sympy
 from conftest import projective_space
 from torfan.errors import Inconsistent, InfiniteDimensional
 from torfan.exact_algebra import (
-    KERNEL,
     Polynomial,
     Ring,
     char_min_poly,
@@ -37,32 +33,6 @@ from torfan.exact_algebra import (
 from torfan.superpotential import build_superpotential, jacobian_ring
 
 F = Fraction
-
-
-def test_kernel_selection_env_override():
-    out = subprocess.run(
-        [sys.executable, "-c", "import torfan; print(torfan.KERNEL)"],
-        env={**os.environ, "TORFAN_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_kernel_parity():
-    from torfan.exact_algebra import _mono_py
-
-    try:
-        from torfan.exact_algebra import _mono_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    a, b = (3, 0, 2, 1), (1, 4, 0, 2)
-    assert _mono_cy.mono_mul(a, b) == _mono_py.mono_mul(a, b)
-    assert _mono_cy.mono_lcm(a, b) == _mono_py.mono_lcm(a, b)
-    assert _mono_cy.mono_divides(a, b) == _mono_py.mono_divides(a, b)
-    assert _mono_cy.grevlex_key(a) == _mono_py.grevlex_key(a)
-    assert _mono_cy.mono_div((3, 4), (1, 2)) == _mono_py.mono_div((3, 4), (1, 2))
 
 
 def test_polynomial_arithmetic():
@@ -128,7 +98,6 @@ def test_groebner_matches_sympy(gens):
     theirs = sympy.groebner(
         [sympy.sympify(g) for g in gens], *syms, order="grevlex"
     )
-    from torfan.exact_algebra._kernel import grevlex_key
 
     def grevlex_monic(expr):
         p = sympy.Poly(expr, *syms)

@@ -29,7 +29,7 @@ def test_superpotential_terms(p2):
     W = build_superpotential(P)
     assert sorted(W.edges()) == sorted(P.edges)
     # t-exponents are the negated support numbers
-    assert sorted(t_exp for _, t_exp, _ in W.terms) == [0, 0, 1]
+    assert sorted(t_exp for _, t_exp in W.terms) == [0, 0, 1]
 
 
 def test_jacobian_dimension_matches_quantum(p2):
