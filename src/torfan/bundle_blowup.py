@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAFace, NotMonotone, ValidationError
+from .errors import NotAFace, NotMonotone
 from .exact_algebra import rank as mat_rank
 from .lattice_fan import Fan
 from .polytope import MomentPolytope, chop, fano_index
@@ -49,7 +49,6 @@ def _c1_sign_check(fan_E, n_twist, k, lam_B):
     """Assert that the twist class sum(n_i x_i) agrees with
     -(k/lam_B) * sum of the base divisor classes modulo the linear
     relations of the total-space fan."""
-    r = len(n_twist)
     target = [Fraction(ni) + Fraction(k, lam_B) for ni in n_twist] + [Fraction(0)]
     rows = [
         [Fraction(fan_E.edges[i][j]) for i in range(len(fan_E.edges))]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle_blowup import blowup_face, blowup_point, nlb_from_k
 from .errors import ParseError, TorfanError, Unbounded, ValidationError
-from .exact_algebra import char_min_poly, complex_eigen, to_numpy
+from .exact_algebra import char_min_poly, complex_eigen, modulus_key, to_numpy
 from .lattice_fan import Fan, primitive_collections, validate_fan
 from .perturbation import (
     MatrixFamily,
@@ -35,6 +35,7 @@ from .polytope import (
 )
 from .quantum_algebra import (
     eigen_family_check,
+    omega_class,
     omega_operator,
     qh_presentation,
     sh_presentation,
@@ -228,10 +229,6 @@ def _ser(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _sorted_eigs(values):
-    return sorted((complex(v) for v in values), key=lambda z: (abs(z), np.angle(z)))
-
-
 def _fan_to_doc(fan, P):
     return {
         "rank": fan.rank,
@@ -286,7 +283,7 @@ def _cmd_qh(fan, P, options, args, spec=None):
         "relations": relations,
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": _sorted_eigs(complex_eigen(to_numpy(M))[0]),
+        "omega_eigenvalues": sorted(complex_eigen(to_numpy(M))[0], key=modulus_key),
     }
     if pres.lam_X:
         fam = eigen_family_check(chi, pres.lam_X)
@@ -296,11 +293,7 @@ def _cmd_qh(fan, P, options, args, spec=None):
 
 def _cmd_sh(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
-    omega_class = -sum(
-        (Fraction(l) * A.ring.var(i) for i, l in enumerate(P.lambdas)),
-        A.ring.zero(),
-    )
-    SH = sh_presentation(A, [omega_class])
+    SH = sh_presentation(A, [omega_class(A, P)])
     M = omega_operator(SH, P)
     chi, mu = char_min_poly(M)
     return {
@@ -309,7 +302,7 @@ def _cmd_sh(fan, P, options, args, spec=None):
         "kernel_dimension": A.dimension - SH.dimension,
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": _sorted_eigs(complex_eigen(to_numpy(M))[0]),
+        "omega_eigenvalues": sorted(complex_eigen(to_numpy(M))[0], key=modulus_key),
     }
 
 
@@ -317,11 +310,7 @@ def _cmd_mirror(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
     sh_algebra = None
     if spec is not None:
-        omega_class = -sum(
-            (Fraction(l) * A.ring.var(i) for i, l in enumerate(P.lambdas)),
-            A.ring.zero(),
-        )
-        sh_algebra = sh_presentation(A, [omega_class])
+        sh_algebra = sh_presentation(A, [omega_class(A, P)])
     W = build_superpotential(P)
     J = jacobian_ring(W)
     report = mirror_check(fan, P, A, J, sh_algebra=sh_algebra)
@@ -350,9 +339,7 @@ def _cmd_critical(fan, P, options, args, spec=None):
                 "hessian_rank": p.hessian_rank,
                 "nondegenerate": p.nondegenerate,
             }
-            for p in sorted(
-                points, key=lambda p: (abs(p.value), np.angle(p.value))
-            )
+            for p in sorted(points, key=lambda p: modulus_key(p.value))
         ],
     }
 
@@ -371,13 +358,12 @@ def _cmd_barycentre(fan, P, options, args, spec=None):
 def _cmd_linebundle(fan, P, options, args, spec=None):
     if spec is None:
         raise ValidationError("linebundle needs --k or a bundle field")
-    fan_E, P_E = fan, P
     return {
         "k": spec.k,
         "base_index": spec.lam_B,
         "total_index": spec.lam_E,
         "twist": list(spec.n),
-        "document": _fan_to_doc(fan_E, P_E),
+        "document": _fan_to_doc(fan, P),
     }
 
 
@@ -410,7 +396,7 @@ def _cmd_separate(fan, P, options, args, spec=None):
         "min_gap": report.min_gap,
         "min_abs_value": report.min_abs_value,
         "jacobian_dimension": report.jac_dimension,
-        "critical_values": _sorted_eigs(report.values),
+        "critical_values": sorted(report.values, key=modulus_key),
         "ok": report.ok,
     }
 
@@ -527,6 +513,13 @@ def run_command(cmd, text, args):
     return {"command": cmd, "seed": args.seed, "results": results}
 
 
+def _epsilon(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="torfan",
@@ -545,7 +538,7 @@ def _build_parser():
     parser.add_argument("--k", type=int, default=None, help="line-bundle twist")
     parser.add_argument(
         "--epsilon",
-        type=Fraction,
+        type=_epsilon,
         default=None,
         help="rational chop depth / perturbation radius, e.g. 1/2",
     )

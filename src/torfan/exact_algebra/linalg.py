@@ -2,8 +2,10 @@
 
 Rational matrices are row-major lists of lists of Fraction.  Exact
 routines (rref, rank, solve, kernels, characteristic/minimal polynomial,
-Jordan profiles, localization) never approximate; the only numeric entry
-point is :func:`complex_eigen`, whose results are residual-checked.
+Jordan profiles, localization) never approximate; the numeric entry
+point is :func:`complex_eigen`, whose results are residual-checked, and
+its spectra are ordered by :func:`modulus_key` and paired across
+samples by :func:`match_nearest`.
 """
 
 from fractions import Fraction
@@ -252,12 +254,6 @@ class JordanProfile:
         parts = [f"({p.pretty()}): {sizes}" for p, sizes in self.entries]
         return "JordanProfile[" + "; ".join(parts) + "]"
 
-    def factor_sizes(self, p):
-        for q, sizes in self.entries:
-            if q == p:
-                return sizes
-        return ()
-
 
 def factor_rational_poly(p):
     """Irreducible monic factors of a univariate rational polynomial,
@@ -369,3 +365,26 @@ def complex_eigen(M, tol=1e-10):
     if worst > tol:
         raise NonConvergence(f"eigenpair residual {worst:.3e} exceeds {tol:.1e}")
     return list(w), v
+
+
+def modulus_key(z):
+    """Ascending sort key for complex values: modulus, then argument."""
+    return (abs(z), np.angle(z))
+
+
+def match_nearest(items, candidates, dist=lambda a, b: abs(a - b)):
+    """Greedy nearest-neighbour matching: each item in turn takes the
+    nearest candidate not yet taken, ties going to the lowest index.
+
+    Returns one (index, distance, runner_up) per item, where runner_up
+    is the distance to the next-nearest free candidate (inf when none is
+    left).
+    """
+    free = list(range(len(candidates)))
+    out = []
+    for item in items:
+        ranked = sorted((dist(item, candidates[i]), i) for i in free)
+        d, i = ranked[0]
+        free.remove(i)
+        out.append((i, d, ranked[1][0] if len(ranked) > 1 else float("inf")))
+    return out

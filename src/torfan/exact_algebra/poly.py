@@ -234,17 +234,6 @@ class Polynomial:
             out = out + powers[e] * Polynomial(self.ring, {tuple(rest): c})
         return out
 
-    def map_ring(self, ring, images):
-        """Map into ``ring`` sending variable i to polynomial images[i]."""
-        out = ring.zero()
-        for m, c in self.terms.items():
-            term = ring.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * images[i] ** e
-            out = out + term
-        return out
-
     def evaluate(self, values):
         """Numeric evaluation at a point (sequence, one value per var)."""
         numeric = any(isinstance(x, (float, complex)) for x in values)

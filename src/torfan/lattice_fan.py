@@ -51,7 +51,7 @@ class Fan:
 class FanReport:
     smooth: bool
     complete: bool
-    notes: str = ""
+    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,6 @@ def _check_structure(fan):
             raise ValidationError(f"cone {cone} indexes a missing edge")
         if len(set(cone)) != len(cone):
             raise ValidationError(f"cone {cone} repeats an edge")
-
-
-def _cone_matrix(fan, cone):
-    """Rows = edges of the cone, as Fractions."""
-    return [[Fraction(x) for x in fan.edges[i]] for i in cone]
 
 
 def _max_minor_gcd(rows, n):
@@ -183,7 +178,7 @@ def validate_fan(fan):
     complete = _is_complete(fan)
     if not complete:
         notes.append("support is a proper subset of the ambient space")
-    return FanReport(smooth, complete, "; ".join(notes))
+    return FanReport(smooth, complete, tuple(notes))
 
 
 def _is_complete(fan):

@@ -25,8 +25,11 @@ from .exact_algebra import (
     inverse,
     mat_mul,
     mat_pow,
+    mat_scale,
     mat_sub,
     mat_vec,
+    match_nearest,
+    modulus_key,
     nullspace,
     rank,
     rref,
@@ -174,30 +177,22 @@ def eigenprojection(A, lam, radius, nodes=CONTOUR_NODES):
 # -- eigenvalue tracking ----------------------------------------------
 
 
-def _sorted_eigs(A):
-    w = np.linalg.eigvals(A)
-    return sorted(w, key=lambda z: (-abs(z), np.angle(z)))
-
-
 def track_eigenvalues(fam, ray=None):
     """Spectra along the ray, greedily matched by nearest neighbor;
     a path is flagged unmatched when two candidates nearly tie."""
     ray = list(ray) if ray is not None else default_ray()
-    first = _sorted_eigs(fam(ray[0]))
+    # descending modulus: the largest branches are matched first
+    first = sorted(
+        np.linalg.eigvals(fam(ray[0])), key=lambda z: (-abs(z), np.angle(z))
+    )
     paths = [EigenPath([(ray[0], lam)]) for lam in first]
     for x in ray[1:]:
         w = list(np.linalg.eigvals(fam(x)))
-        taken = [False] * len(w)
-        for path in paths:
-            prev = path.samples[-1][1]
-            dists = sorted(
-                (abs(w[i] - prev), i) for i in range(len(w)) if not taken[i]
-            )
-            d0, i0 = dists[0]
-            if len(dists) > 1 and dists[1][0] - d0 < 1e-9:
+        prev = [path.samples[-1][1] for path in paths]
+        for path, (i, d, runner_up) in zip(paths, match_nearest(prev, w)):
+            if runner_up - d < 1e-9:
                 path.matched = False
-            taken[i0] = True
-            path.samples.append((x, w[i0]))
+            path.samples.append((x, w[i]))
     return paths
 
 
@@ -219,15 +214,14 @@ def _rational_eigenvalues(A0):
     return rational, other
 
 
-def _generalized_projection_exact(A0, lam):
+def _generalized_projection_exact(N):
     """Exact projection onto the generalized eigenspace of a rational
-    eigenvalue along the complementary invariant subspace."""
-    n = len(A0)
-    N = mat_sub(A0, _scalar(n, lam))
+    eigenvalue lam along the complementary invariant subspace, from the
+    exact shift N = A0 - lam I."""
+    n = len(N)
     Npow = mat_pow(N, n)
     K = nullspace(Npow)
     # column space of N^n spans the complementary invariant subspace
-    cols = transpose(Npow)
     _, pivots = rref(Npow)
     # pivot columns of N^n give independent columns
     R = [[Npow[i][j] for i in range(n)] for j in pivots]
@@ -240,19 +234,11 @@ def _generalized_projection_exact(A0, lam):
     return mat_mul(C, mat_mul(D, Cinv)), s
 
 
-def _scalar(n, lam):
-    M = zero_matrix(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(lam)
-    return M
-
-
 def exact_jordan_blocks(A0, lam):
     """Jordan chains of a rational matrix at a rational eigenvalue:
     list of (eigenvector, chain vectors bottom-up) per block, chains
     sorted by descending length."""
-    n = len(A0)
-    N = mat_sub(A0, _scalar(n, lam))
+    N = mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam)))
     kernels = [[]]
     k = 1
     while True:
@@ -292,20 +278,23 @@ def _complete_basis(span, candidates):
     return chosen
 
 
+def _exact_shift(fam, lam):
+    """A(0) - lam I as an exact rational matrix, or None when A(0) or
+    lam is not real (the numeric fallbacks handle those)."""
+    A0 = fam.constant_term_rational()
+    lam = complex(lam)
+    if A0 is None or lam.imag or not np.isfinite(lam):
+        return None
+    return mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam.real)))
+
+
 def _multiplicity_at(fam, lam):
     """Algebraic multiplicity of lam in A(0) (exact when rational)."""
-    A0r = fam.constant_term_rational()
-    if A0r is not None and _is_rational_scalar(lam):
-        n = len(A0r)
-        N = mat_sub(A0r, _scalar(n, Fraction(complex(lam).real)))
-        return n - rank(mat_pow(N, n))
+    N = _exact_shift(fam, lam)
+    if N is not None:
+        return len(N) - rank(mat_pow(N, len(N)))
     w = np.linalg.eigvals(fam(0.0))
     return int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
-
-
-def _is_rational_scalar(lam):
-    lam = complex(lam)
-    return abs(lam.imag) == 0 and float(lam.real) == lam.real
 
 
 # -- total projections -------------------------------------------------
@@ -348,9 +337,9 @@ def total_projection_limit_check(fam, lam, ray=None):
     m = _multiplicity_at(fam, lam)
     if m == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
-    A0r = fam.constant_term_rational()
-    if A0r is not None and _is_rational_scalar(lam):
-        Pexact, s = _generalized_projection_exact(A0r, Fraction(complex(lam).real))
+    N = _exact_shift(fam, lam)
+    if N is not None:
+        Pexact, s = _generalized_projection_exact(N)
         limit = np.array([[float(x) for x in row] for row in Pexact], dtype=complex)
     else:
         A0 = fam(0.0)
@@ -372,13 +361,11 @@ def total_projection_limit_check(fam, lam, ray=None):
 
 
 def _check_semisimple(fam, lam):
-    A0r = fam.constant_term_rational()
-    if A0r is not None and _is_rational_scalar(lam):
-        n = len(A0r)
-        N = mat_sub(A0r, _scalar(n, Fraction(complex(lam).real)))
+    N = _exact_shift(fam, lam)
+    if N is not None:
         if rank(N) != rank(mat_mul(N, N)):
             raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-        return n - rank(N)
+        return len(N) - rank(N)
     A0 = fam(0.0)
     N = A0 - lam * np.eye(A0.shape[0])
     r1 = np.linalg.matrix_rank(N, tol=1e-8)
@@ -401,19 +388,11 @@ def derivative_spectrum(fam, lam, ray=None):
         u, s, _ = np.linalg.svd(P)
         Q = u[:, :m]
         B = Q.conj().T @ ((A - lam * np.eye(A.shape[0])) / x) @ Q
-        samples.append(sorted(np.linalg.eigvals(B), key=lambda z: (abs(z), np.angle(z))))
+        samples.append(sorted(np.linalg.eigvals(B), key=modulus_key))
     # match the last two samples and extrapolate (ray halves each step)
     prev, last = samples[-2], samples[-1]
-    used = [False] * len(prev)
-    out = []
-    for v in last:
-        i = min(
-            (i for i in range(len(prev)) if not used[i]),
-            key=lambda i: abs(prev[i] - v),
-        )
-        used[i] = True
-        out.append(2 * v - prev[i])
-    return sorted(out, key=lambda z: (abs(z), np.angle(z)))
+    out = [2 * v - prev[i] for v, (i, _, _) in zip(last, match_nearest(last, prev))]
+    return sorted(out, key=modulus_key)
 
 
 # -- semisimple eigenline convergence ---------------------------------
@@ -450,19 +429,11 @@ def semisimple_convergence_check(fam, lam, ray=None):
         A = fam(x)
         w, v = np.linalg.eig(A)
         idx = np.argsort(np.abs(w - lam))[:m]
-        members = sorted(idx, key=lambda i: (abs(w[i]), np.angle(w[i])))
+        members = sorted(idx, key=lambda i: modulus_key(w[i]))
         if prev_members is not None:
             # keep branch identity by nearest previous eigenvalue
-            order = []
-            taken = set()
-            for pw in prev_members:
-                i = min(
-                    (i for i in members if i not in taken),
-                    key=lambda i: abs(w[i] - pw),
-                )
-                taken.add(i)
-                order.append(i)
-            members = order
+            matches = match_nearest(prev_members, [w[i] for i in members])
+            members = [members[j] for j, _, _ in matches]
         prev_members = [w[i] for i in members]
         spectrum = w
         for j, i in enumerate(members):
@@ -488,11 +459,9 @@ def semisimple_convergence_check(fam, lam, ray=None):
         [lines[j][-1].orthonormal_basis[:, 0] for j in range(m)]
     )
     span = Subspace.from_vectors(limits)
-    A0r = fam.constant_term_rational()
-    if A0r is not None and _is_rational_scalar(lam):
-        K = nullspace(
-            mat_sub(A0r, _scalar(len(A0r), Fraction(complex(lam).real)))
-        )
+    N = _exact_shift(fam, lam)
+    if N is not None:
+        K = nullspace(N)
         exact = Subspace.from_vectors(
             np.array([[float(x) for x in vec] for vec in K], dtype=complex).T
         )
@@ -603,15 +572,13 @@ def gevec_convergence(fam, ray=None):
     tracks = [[vec] for _, vec in per_point[0]]
     lams = [[lam] for lam, _ in per_point[0]]
     for pairs in per_point[1:]:
-        taken = set()
-        for t, track in enumerate(tracks):
-            prev_vec = track[-1]
-            best = min(
-                (i for i in range(count) if i not in taken),
-                key=lambda i: _line_distance(prev_vec, pairs[i][1]),
-            )
-            taken.add(best)
-            track.append(pairs[best][1])
+        matches = match_nearest(
+            [track[-1] for track in tracks],
+            [vec for _, vec in pairs],
+            dist=_line_distance,
+        )
+        for t, (best, _, _) in enumerate(matches):
+            tracks[t].append(pairs[best][1])
             lams[t].append(pairs[best][0])
 
     # cluster by line limits at the smallest ray point

@@ -6,8 +6,6 @@ homomorphism, and eigenvalue transfer from base to total space."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import Inconsistent, NotMonotone, ToleranceExceeded, ValidationError
 from .exact_algebra import (
     Polynomial,
@@ -16,6 +14,8 @@ from .exact_algebra import (
     groebner_basis,
     localize,
     mat_pow,
+    match_nearest,
+    modulus_key,
     normal_form,
     nullspace,
     quotient_algebra,
@@ -31,6 +31,7 @@ __all__ = [
     "qh_presentation",
     "sh_presentation",
     "c1_operator",
+    "omega_class",
     "omega_operator",
     "eigen_family_check",
     "phi_check",
@@ -52,7 +53,6 @@ class Presentation:
     linear_relations: list
     qsr_relations: list
     lam_X: int
-    mode: str
 
     def relations(self):
         return list(self.linear_relations) + list(self.qsr_relations)
@@ -95,7 +95,7 @@ class PhiMap:
     fiber_class: Polynomial  # in the E symbolic ring
 
 
-def qh_presentation(fan, P, mode="compact"):
+def qh_presentation(fan, P):
     """Linear relations and quantum monomial relations of a smooth fan
     with its polytope; returns the presentation (T symbolic) and the
     quotient algebra at T=1."""
@@ -132,7 +132,7 @@ def qh_presentation(fan, P, mode="compact"):
         lam_X = fano_index(P)
     except Inconsistent:
         lam_X = None
-    pres = Presentation(names, ring, ring_t1, linear, qsr, lam_X, mode)
+    pres = Presentation(names, ring, ring_t1, linear, qsr, lam_X)
     A = quotient_algebra(groebner_basis(pres.relations_t1()))
     return pres, A
 
@@ -159,10 +159,15 @@ def c1_operator(A, P):
     return A.operator(_class_poly(A.ring, [1] * len(P.edges)))
 
 
+def omega_class(A, P):
+    """The symplectic class -sum(lambda_i x_i) in A's ring."""
+    return _class_poly(A.ring, [-l for l in P.lambdas])
+
+
 def omega_operator(A, P):
     """Matrix of multiplication by the symplectic class
     -sum(lambda_i x_i)."""
-    return A.operator(_class_poly(A.ring, [-l for l in P.lambdas]))
+    return A.operator(omega_class(A, P))
 
 
 def eigen_family_check(char, lam_X):
@@ -221,7 +226,7 @@ def _cluster(values, rel_tol):
     """Greedy clustering of complex values; returns (center, count)."""
     scale = max([abs(v) for v in values] + [1.0])
     clusters = []
-    for v in sorted(values, key=lambda z: (abs(z), np.angle(z))):
+    for v in sorted(values, key=modulus_key):
         for idx, (center, cnt) in enumerate(clusters):
             if abs(v - center) <= rel_tol * scale:
                 clusters[idx] = ((center * cnt + v) / (cnt + 1), cnt + 1)
@@ -255,25 +260,16 @@ def eigenvalue_transfer_check(
     if len(cl_B) != len(cl_E):
         return False
 
-    used = set()
     worst = 0.0
-    for center, cnt in cl_B:
-        best = None
-        for idx, (ce, ce_cnt) in enumerate(cl_E):
-            if idx in used:
-                continue
-            d = abs(ce - center)
-            if best is None or d < best[1]:
-                best = (idx, d, ce_cnt)
-        idx, dist, ce_cnt = best
+    matches = match_nearest([c for c, _ in cl_B], [c for c, _ in cl_E])
+    for (center, cnt), (idx, dist, _) in zip(cl_B, matches):
         worst = max(worst, dist)
         if dist > tol * max(1.0, abs(center)):
             raise ToleranceExceeded(
                 f"family invariant mismatch {dist:.3e}", residual=worst
             )
-        if cnt * lam_E != ce_cnt * lam_B:
+        if cnt * lam_E != cl_E[idx][1] * lam_B:
             return False
-        used.add(idx)
 
     if qh_omega_E is not None:
         dim_qh = len(qh_omega_E)

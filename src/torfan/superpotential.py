@@ -26,6 +26,7 @@ from .exact_algebra import (
     identity,
     inverse,
     mat_add,
+    match_nearest,
     mat_mul,
     mat_scale,
     quotient_algebra,
@@ -180,67 +181,31 @@ def jacobian_ring(W, t_value=1, coefficients=None):
 # -- numeric Laurent evaluation ---------------------------------------
 
 
-def _eval_terms(edges, coeffs, z):
-    total = 0j
-    for e, c in zip(edges, coeffs):
-        prod = complex(c)
-        for zj, ej in zip(z, e):
-            prod *= zj ** ej
-        total += prod
-    return total
+def _terms(E, c, z):
+    """Term values c_i z^{e_i}, one per row of the exponent matrix E."""
+    return c * np.prod(np.asarray(z, dtype=complex) ** E, axis=1)
 
 
-def _log_gradient(edges, coeffs, z):
+def _log_gradient(E, c, z):
     """Vector of z_j dW/dz_j at z."""
-    n = len(z)
-    out = np.zeros(n, dtype=complex)
-    for e, c in zip(edges, coeffs):
-        prod = complex(c)
-        for zj, ej in zip(z, e):
-            prod *= zj ** ej
-        for j in range(n):
-            if e[j]:
-                out[j] += e[j] * prod
-    return out
+    return E.T @ _terms(E, c, z)
 
 
-def _hessian(edges, coeffs, z):
+def _hessian(E, c, z):
     """d2W/dz_j dz_k at z."""
-    n = len(z)
-    H = np.zeros((n, n), dtype=complex)
-    for e, c in zip(edges, coeffs):
-        prod = complex(c)
-        for zj, ej in zip(z, e):
-            prod *= zj ** ej
-        for j in range(n):
-            if not e[j]:
-                continue
-            for k in range(n):
-                f = e[j] * (e[k] - (1 if j == k else 0))
-                if f:
-                    H[j, k] += f * prod / (z[j] * z[k])
-    return H
+    t = _terms(E, c, z)
+    return ((E.T * t) @ E - np.diag(E.T @ t)) / np.outer(z, z)
 
 
-def _newton_polish(edges, coeffs, z0, tol=1e-12, max_iter=100):
+def _newton_polish(E, c, z0, tol=1e-12, max_iter=100):
     z = np.array(z0, dtype=complex)
-    n = len(z)
     for _ in range(max_iter):
-        g = _log_gradient(edges, coeffs, z)
-        grad = g / z  # dW/dz_j
-        if np.linalg.norm(grad) <= tol:
+        t = _terms(E, c, z)
+        g = E.T @ t
+        if np.linalg.norm(g / z) <= tol:  # g / z is dW/dz_j
             return z
         # Jacobian of the logarithmic gradient, then chain rule
-        J = np.zeros((n, n), dtype=complex)
-        for e, c in zip(edges, coeffs):
-            prod = complex(c)
-            for zj, ej in zip(z, e):
-                prod *= zj ** ej
-            for j in range(n):
-                if e[j]:
-                    for k in range(n):
-                        if e[k]:
-                            J[j, k] += e[j] * e[k] * prod / z[k]
+        J = (E.T * t) @ E / z
         try:
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError:
@@ -248,8 +213,7 @@ def _newton_polish(edges, coeffs, z0, tol=1e-12, max_iter=100):
         z = z - step
         if not np.all(np.isfinite(z)) or np.any(np.abs(z) < 1e-14):
             raise NewtonDiverged("iterate left the torus")
-    g = _log_gradient(edges, coeffs, z)
-    if np.linalg.norm(g / z) > tol:
+    if np.linalg.norm(_log_gradient(E, c, z) / z) > tol:
         raise NewtonDiverged("no convergence within the iteration budget")
     return z
 
@@ -258,12 +222,13 @@ def critical_points(W, t_value=1, seed=0, coefficients=None, jac=None):
     """Distinct critical points on the torus, read from simultaneous
     eigenvectors of the coordinate multiplication matrices and polished
     by Newton iteration; Hessian ranks from singular values."""
-    edges = W.edges()
     coeffs = (
         [Fraction(c) for c in coefficients]
         if coefficients is not None
         else W.coefficients(t_value)
     )
+    E = np.array(W.edges())
+    c = np.array([complex(x) for x in coeffs])
     J = jac if jac is not None else jacobian_ring(W, t_value, coefficients)
     A = J.algebra
     if A.dimension == 0:
@@ -295,18 +260,18 @@ def critical_points(W, t_value=1, seed=0, coefficients=None, jac=None):
             z0 = [complex((Mi @ v)[pivot] / v[pivot]) for Mi in mats]
             if any(abs(z) < 1e-12 for z in z0):
                 continue
-            z = _newton_polish(edges, coeffs, z0)
+            z = _newton_polish(E, c, z0)
         except NewtonDiverged:
             continue
         if any(_close(z, p.coordinates) for p in points):
             continue
-        H = _hessian(edges, coeffs, z)
+        H = _hessian(E, c, z)
         sv = np.linalg.svd(H, compute_uv=False)
         rank_H = int(np.sum(sv >= 1e-8 * max(sv[0], 1e-300))) if len(sv) else 0
         points.append(
             CriticalPoint(
                 tuple(complex(x) for x in z),
-                complex(_eval_terms(edges, coeffs, z)),
+                complex(_terms(E, c, z).sum()),
                 rank_H,
                 rank_H == n,
             )
@@ -400,11 +365,7 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
     if eig_ok:
         # greedy nearest matching: sorting by magnitude is unstable when
         # distinct eigenvalues share the same modulus
-        remaining = list(nz_w)
-        for a in nz_q:
-            b = min(remaining, key=lambda z: abs(z - a))
-            remaining.remove(b)
-            worst = max(worst, abs(a - b))
+        worst = max((d for _, d, _ in match_nearest(nz_q, nz_w)), default=0.0)
         eig_ok = worst <= tol * scale
     report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok, worst)
     if not report.ok:
@@ -428,14 +389,8 @@ def family_closure_check(values, lam_X, tol=1e-8):
     values = [complex(v) for v in values]
     zeta = np.exp(2j * np.pi / lam_X)
     scale = max([abs(v) for v in values] + [1.0])
-    remaining = list(values)
-    for v in values:
-        target = zeta * v
-        best = min(remaining, key=lambda w: abs(w - target), default=None)
-        if best is None or abs(best - target) > tol * scale:
-            return False
-        remaining.remove(best)
-    return True
+    matches = match_nearest([zeta * v for v in values], values)
+    return all(d <= tol * scale for _, d, _ in matches)
 
 
 def barycentre_landing_check(P, lam_X):
@@ -450,8 +405,9 @@ def barycentre_landing_check(P, lam_X):
     pts = critical_points(base)
     if not pts:
         return False
+    E = np.array(base.edges())
     for p in pts:
-        g = _log_gradient(base.edges(), [Fraction(1)] * len(P.edges), p.coordinates)
+        g = _log_gradient(E, np.ones(len(E)), p.coordinates)
         if np.linalg.norm(g) > 1e-8:
             return False
     return True

@@ -107,6 +107,7 @@ def test_nlb_document_builds_total_space(capsys):
     )
     results = json.loads(out)["results"]
     assert code == 0 and results["smooth"] and not results["complete"]
+    assert results["notes"] == ["support is a proper subset of the ambient space"]
 
 
 def test_kato_pole_exponent(capsys):
@@ -137,6 +138,15 @@ def test_blowup_command_vertex_counts(capsys):
     assert code == 0
     assert results["vertex_count_before"] == 1
     assert results["vertex_count_after"] == 3
+
+
+@pytest.mark.parametrize("command", ["separate", "blowup"])
+def test_zero_denominator_epsilon_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", example("c3_blowup.json"), "--epsilon", "1/0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--epsilon" in err and "Traceback" not in err
 
 
 def test_sh_of_affine_space_is_zero(capsys):

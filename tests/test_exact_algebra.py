@@ -21,6 +21,7 @@ from torfan.exact_algebra import (
     jordan_profile,
     localize,
     mat_mul,
+    match_nearest,
     minpoly,
     normal_form,
     nullspace,
@@ -220,6 +221,20 @@ def test_complex_eigen_residual():
     M = [[F(0), F(-1)], [F(1), F(0)]]
     eigs, _ = complex_eigen(to_numpy(M))
     assert sorted(round(v.imag) for v in eigs) == [-1, 1]
+
+
+def test_match_nearest_ties_runner_up_and_last_item():
+    # 0 ties between candidates 0 and 1 and takes the lower index; 10 then
+    # takes 9, with the taken candidate 1 no longer a runner-up
+    assert match_nearest([0, 10], [1, -1, 9]) == [(0, 1, 1), (2, 1, 11)]
+    # the last item has no candidate left beside its own
+    assert match_nearest([0, 10], [9, 1]) == [(1, 1, 9), (0, 1, float("inf"))]
+
+
+def test_match_nearest_custom_distance():
+    by_modulus = lambda a, b: abs(abs(a) - abs(b))
+    assert match_nearest([-2j], [1, 2], dist=by_modulus) == [(1, 0, 1)]
+    assert match_nearest([-2j], [1, 2]) == [(0, abs(-2j - 1), abs(-2j - 2))]
 
 
 def test_rref_idempotent():

@@ -2,8 +2,10 @@
 mirror comparisons, and support-number perturbation."""
 
 import cmath
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import product_of_lines, projective_space
@@ -11,6 +13,8 @@ from torfan.bundle_blowup import nlb_from_k
 from torfan.errors import HalfSpaceFan, MirrorMismatch
 from torfan.quantum_algebra import omega_operator, qh_presentation, sh_presentation
 from torfan.superpotential import (
+    _hessian,
+    _log_gradient,
     barycentre_landing_check,
     build_superpotential,
     critical_points,
@@ -51,6 +55,42 @@ def test_critical_points_projective_plane(p2):
         for j in range(3)
     )
     assert values == expected
+
+
+def test_projective_plane_gradient_and_hessian_at_one(p2):
+    # W = z1 + z2 + 1/(z1 z2) is critical at (1, 1) with Hessian [[2, 1], [1, 2]]
+    _, P = p2
+    E = np.array(build_superpotential(P).edges())
+    c = np.ones(len(E))
+    assert _log_gradient(E, c, (1, 1)).tolist() == [0, 0]
+    assert _hessian(E, c, (1, 1)).tolist() == [[2, 1], [1, 2]]
+
+
+def _reference_derivatives(edges, coeffs, z):
+    """Term-by-term loops for z_j dW/dz_j and d2W/dz_j dz_k."""
+    n = len(z)
+    g = np.zeros(n, dtype=complex)
+    H = np.zeros((n, n), dtype=complex)
+    for e, c in zip(edges, coeffs):
+        t = c * np.prod([zj ** ej for zj, ej in zip(z, e)])
+        for j in range(n):
+            g[j] += e[j] * t
+            for k in range(n):
+                H[j, k] += e[j] * (e[k] - (j == k)) * t / (z[j] * z[k])
+    return g, H
+
+
+def test_laurent_derivatives_match_term_loops():
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        edges = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 2)]
+        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in edges]
+        z = [complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for _ in range(n)]
+        g, H = _reference_derivatives(edges, coeffs, z)
+        E, c = np.array(edges), np.array(coeffs)
+        assert np.allclose(_log_gradient(E, c, z), g, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_hessian(E, c, z), H, rtol=1e-12, atol=1e-12)
 
 
 def test_critical_points_deterministic(p1xp1):
