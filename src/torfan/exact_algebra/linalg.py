@@ -1,14 +1,18 @@
 """Exact rational linear algebra plus the numeric eigensolver.
 
-Rational matrices are row-major lists of lists of Fraction.  Exact
-routines (rref, rank, solve, kernels, characteristic/minimal polynomial,
-Jordan profiles, localization) never approximate; the numeric entry
-point is :func:`complex_eigen`, whose results are residual-checked, and
-its spectra are ordered by :func:`modulus_key` and paired across
-samples by :func:`match_nearest`.
+Rational matrices are row-major lists of lists of Fraction (or int).
+Exact routines (rref, rank, solve, kernels, characteristic/minimal
+polynomial, Jordan profiles, localization) never approximate; rank,
+charpoly, minpoly and jordan_profile clear their input to integers once
+and run on Python ints.  The numeric entry point is
+:func:`complex_eigen`, whose results are residual-checked, and its
+spectra are ordered by :func:`modulus_key` and paired across samples by
+:func:`match_nearest`.
 """
 
 from fractions import Fraction
+from itertools import count
+from math import gcd, lcm
 
 import numpy as np
 
@@ -121,9 +125,13 @@ def rref(A):
 
 
 def rank(A):
-    if not A or not A[0]:
-        return 0
-    return len(rref(A)[1])
+    """Rank by fraction-free elimination; each row is first cleared to
+    integers by the lcm of its own denominators."""
+    rows = []
+    for row in A:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    return _int_rank(rows)
 
 
 def solve(A, b):
@@ -171,7 +179,52 @@ def inverse(A):
     return [row[n:] for row in M]
 
 
-# -- characteristic and minimal polynomials ---------------------------
+# -- integer core ------------------------------------------------------
+#
+# charpoly, minpoly, jordan_profile and rank clear their input once to
+# integers and then work on Python ints; B is the cleared matrix and d
+# its common denominator, M = B / d.
+
+
+def _clear(M):
+    """(B, d): an integer matrix B and a positive integer d with M = B / d."""
+    d = lcm(*{x.denominator for row in M for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in M], d
+
+
+def _int_mul(A, B):
+    """Product of integer matrices, skipping the zero entries of A."""
+    cols = len(B[0]) if B else 0
+    out = []
+    for Ai in A:
+        Oi = [0] * cols
+        for a, Bk in zip(Ai, B):
+            if a:
+                Oi = [o + a * b for o, b in zip(Oi, Bk)]
+        out.append(Oi)
+    return out
+
+
+def _int_rank(A):
+    """Rank of an integer matrix by Bareiss elimination (Bareiss, 1968):
+    every division by the previous pivot is exact."""
+    rows = [row for row in A if any(row)]
+    r, prev = 0, 1
+    while rows:
+        # leftmost nonzero column; the entries left of it are all zero
+        c, i = min(
+            (next(j for j, x in enumerate(row) if x), i) for i, row in enumerate(rows)
+        )
+        top = rows.pop(i)
+        p, tail = top[c], top[c + 1:]
+        rows = [
+            [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1:], tail)]
+            for row in rows
+        ]
+        rows = [row for row in rows if any(row)]
+        prev = p
+        r += 1
+    return r
 
 
 def _poly_from_coeffs(coeffs):
@@ -183,48 +236,52 @@ def _poly_from_coeffs(coeffs):
 
 def charpoly(M):
     """Monic characteristic polynomial det(X·I − M), exact
-    (Faddeev–LeVerrier iteration)."""
-    n = len(M)
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    N = [row[:] for row in M]
+    (Faddeev–LeVerrier iteration on the cleared integer matrix)."""
+    B, d = _clear(M)
+    n = len(B)
+    coeffs = [0] * n + [1]
+    N = [row[:] for row in B]
     for k in range(1, n + 1):
         if k > 1:
-            N = mat_mul(M, mat_add(N, mat_scale(identity(n), c)))
-        c = -trace(N) / k
+            for i in range(n):
+                N[i][i] += c
+            N = _int_mul(B, N)
+        # exact: B has an integer characteristic polynomial
+        c = -sum(N[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-    return _poly_from_coeffs(coeffs)
-
-
-def eval_matrix_poly(p, M):
-    """Evaluate a univariate polynomial at a square rational matrix."""
-    n = len(M)
-    out = zero_matrix(n, n)
-    for m, c in p.terms.items():
-        out = mat_add(out, mat_scale(mat_pow(M, m[0]), c))
-    return out
+    # det(X·I − B/d) = d^-n · det(dX·I − B)
+    return _poly_from_coeffs([Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)])
 
 
 def minpoly(M):
     """Monic minimal polynomial, from the first linear dependency among
-    vectorized powers of M."""
-    n = len(M)
-    if n == 0:
-        return _poly_from_coeffs([1])
-    powers = [identity(n)]
-    for k in range(1, n + 1):
-        powers.append(mat_mul(powers[-1], M))
-        # columns: vec(M^0) .. vec(M^{k-1}); rhs vec(M^k)
-        cols = [[P[i][j] for i in range(n) for j in range(n)] for P in powers[:-1]]
-        A = transpose(cols)
-        b = [powers[-1][i][j] for i in range(n) for j in range(n)]
-        try:
-            x = solve(A, b)
-        except Inconsistent:
-            continue
-        coeffs = [-c for c in x] + [_ONE]
-        return _poly_from_coeffs(coeffs)
-    raise AssertionError("Cayley-Hamilton violated; unreachable")
+    vec(B^0), vec(B^1), ...: each new power is reduced by fraction-free
+    elimination against the rows kept so far."""
+    B, d = _clear(M)
+    n = len(B)
+    # a kept row is vec(sum_j c_j B^j) followed by c_0, ..., c_n
+    kept = []
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    # Cayley–Hamilton: the dependency appears by k = n
+    for k in count():
+        v = [x for row in P for x in row] + [int(j == k) for j in range(n + 1)]
+        for p, row in kept:
+            a = v[p]
+            if a:
+                b = row[p]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                v = [b * x - a * y for x, y in zip(v, row)]
+        pivot = next((i for i in range(n * n) if v[i]), None)
+        if pivot is None:
+            # sum_j c_j B^j = 0 with c_k != 0; rescale to M = B/d
+            c = v[n * n:]
+            return _poly_from_coeffs(
+                [Fraction(c[j], c[k] * d ** (k - j)) for j in range(k + 1)]
+            )
+        g = gcd(*v)
+        kept.append((pivot, [x // g for x in v]))
+        P = _int_mul(B, P)
 
 
 def char_min_poly(M):
@@ -283,24 +340,33 @@ def jordan_profile(M):
     if any(len(row) != len(M) for row in M):
         raise ValueError("matrix is not square")
     n = len(M)
-    chi = charpoly(M)
+    B, d = _clear(M)
     entries = []
-    for p, mult in factor_rational_poly(chi):
-        d = p.degree()
-        P = eval_matrix_poly(p, M)
+    for p, mult in factor_rational_poly(charpoly(M)):
+        e = p.degree()
+        # Horner's rule for the integer matrix L·d^e·p(M) = q(B), with
+        # q_j = L·d^(e-j)·p_j and L clearing the coefficients of p
+        L = lcm(*(c.denominator for c in p.terms.values()))
+        P = [[0] * n for _ in range(n)]
+        for j in range(e, -1, -1):
+            P = _int_mul(P, B)
+            q = int(L * p.coeff((j,))) * d ** (e - j)
+            for i in range(n):
+                P[i][i] += q
         ranks = [n]
-        Pk = identity(n)
-        for _ in range(mult):
-            Pk = mat_mul(Pk, P)
-            ranks.append(rank(Pk))
-            if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
+        Pk = P
+        for k in range(mult):
+            if k:
+                Pk = _int_mul(Pk, P)
+            ranks.append(_int_rank(Pk))
+            if ranks[-1] == ranks[-2]:
                 break
-        # number of blocks of size >= k is (ranks[k-1] - ranks[k]) / d
+        # number of blocks of size >= k is (ranks[k-1] - ranks[k]) / e
         atleast = []
         for k in range(1, len(ranks)):
             diff = ranks[k - 1] - ranks[k]
-            assert diff % d == 0
-            atleast.append(diff // d)
+            assert diff % e == 0
+            atleast.append(diff // e)
         sizes = []
         for k, cnt in enumerate(atleast, start=1):
             nxt = atleast[k] if k < len(atleast) else 0

@@ -12,13 +12,13 @@ from math import gcd
 
 from ._feas import equality, feasible_point
 from .errors import (
+    Inconsistent,
     NoConeContains,
     OverlappingCones,
     RelationFails,
     ValidationError,
 )
 from .exact_algebra import rank, solve
-from .errors import Inconsistent
 
 __all__ = [
     "Fan",
@@ -158,7 +158,7 @@ def validate_fan(fan):
     smooth = True
     for cone in fan.max_cones:
         rows = [list(fan.edges[i]) for i in cone]
-        if rank([[Fraction(x) for x in r] for r in rows]) != len(cone):
+        if rank(rows) != len(cone):
             raise ValidationError(f"cone {cone} is not simplicial (dependent edges)")
         if _max_minor_gcd(rows, n) != 1:
             smooth = False

@@ -21,6 +21,7 @@ from .errors import (
 from .exact_algebra import (
     Polynomial,
     Ring,
+    charpoly,
     complex_eigen,
     groebner_basis,
     identity,
@@ -312,7 +313,9 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
     (b) each linear relation maps exactly onto z_j dW/dz_j;
     (c) dimensions agree (against the localized algebra when given);
     (d) nonzero first-Chern eigenvalues match the eigenvalues of
-    multiplication by the superpotential, to tolerance.
+    multiplication by the superpotential: exactly, as the two
+    characteristic polynomials with their powers of X divided out, and
+    numerically, to tolerance, which gives the worst residual.
     """
     lambdas = P.lambdas
     # (a): z-exponents match by the decomposition, t-exponents by the
@@ -367,6 +370,7 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
         # distinct eigenvalues share the same modulus
         worst = max((d for _, d, _ in match_nearest(nz_q, nz_w)), default=0.0)
         eig_ok = worst <= tol * scale
+    eig_ok = eig_ok and _nonzero_part(charpoly(c1)) == _nonzero_part(charpoly(J.W_matrix))
     report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok, worst)
     if not report.ok:
         failing = [
@@ -381,6 +385,13 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
         ]
         raise MirrorMismatch(", ".join(failing))
     return report
+
+
+def _nonzero_part(p):
+    """Terms of a univariate polynomial divided by its largest power of X:
+    the factor that carries the nonzero roots."""
+    low = min(m[0] for m in p.terms)
+    return {(m[0] - low,): c for m, c in p.terms.items()}
 
 
 def family_closure_check(values, lam_X, tol=1e-8):

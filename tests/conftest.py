@@ -1,7 +1,5 @@
 """Shared example constructions for the test suite."""
 
-from fractions import Fraction
-
 import pytest
 
 from torfan.exact_algebra import groebner_basis, normal_form

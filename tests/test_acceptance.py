@@ -5,7 +5,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import ideal_equal, product_of_lines, projective_space
 from torfan.bundle_blowup import blowup_point, nlb_from_k

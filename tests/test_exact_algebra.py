@@ -1,6 +1,7 @@
 """Unit tests for the exact polynomial/linear-algebra layer."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from torfan.errors import Inconsistent, InfiniteDimensional
 from torfan.exact_algebra import (
     Polynomial,
     Ring,
+    UNIVARIATE,
     char_min_poly,
     charpoly,
     complex_eigen,
@@ -20,7 +22,9 @@ from torfan.exact_algebra import (
     inverse,
     jordan_profile,
     localize,
+    mat_add,
     mat_mul,
+    mat_scale,
     match_nearest,
     minpoly,
     normal_form,
@@ -203,6 +207,105 @@ def test_jordan_profile():
     profile = jordan_profile(M)
     got = {f.pretty(): tuple(sorted(sizes)) for f, sizes in profile.entries}
     assert got == {"X - 3": (1, 2), "X - 5": (1,)}
+
+
+def _random_rational(rng, rows, cols):
+    return [
+        [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else F(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _oracle_matrices():
+    """Seeded square rational matrices, n <= 10 and denominators up to
+    12: full ones, rank-deficient products U·V, and block sums A ⊕ A
+    whose minimal polynomial is a proper factor."""
+    rng = random.Random(20140626)
+    out = []
+    for n in range(1, 11):
+        out.append(_random_rational(rng, n, n))
+        r = rng.randint(0, n - 1)
+        U, V = _random_rational(rng, n, r), _random_rational(rng, r, n)
+        out.append(
+            [[sum((U[i][k] * V[k][j] for k in range(r)), F(0)) for j in range(n)] for i in range(n)]
+        )
+    for n in (2, 3, 5):
+        A = _random_rational(rng, n, n)
+        out.append([row + [F(0)] * n for row in A] + [[F(0)] * n + row for row in A])
+    return out
+
+
+def _poly_at(p, M):
+    """p(M) by Horner's rule in Fraction arithmetic."""
+    n = len(M)
+    out = [[F(0)] * n for _ in range(n)]
+    for k in range(p.degree(), -1, -1):
+        out = mat_add(mat_mul(out, M), mat_scale(identity(n), p.coeff((k,))))
+    return out
+
+
+def test_charpoly_and_rank_match_sympy_on_random_rationals():
+    X = sympy.Symbol("X")
+    rng = random.Random(7)
+    for M in _oracle_matrices():
+        S = sympy.Matrix(M)
+        assert sympy.expand(_to_sympy(charpoly(M), [X]) - S.charpoly(X).as_expr()) == 0
+        assert rank(M) == S.rank()
+        R = _random_rational(rng, rng.randint(1, 8), rng.randint(1, 8))
+        assert rank(R) == sympy.Matrix(R).rank()
+
+
+def test_minpoly_annihilates_divides_and_matches_jordan_profile():
+    X = sympy.Symbol("X")
+    for M in _oracle_matrices():
+        n = len(M)
+        mu = minpoly(M)
+        assert _poly_at(mu, M) == [[F(0)] * n for _ in range(n)]
+        assert sympy.rem(_to_sympy(charpoly(M), [X]), _to_sympy(mu, [X]), X) == 0
+        from_blocks = UNIVARIATE.one()
+        for p, sizes in jordan_profile(M).entries:
+            from_blocks = from_blocks * p ** sizes[0]
+        assert mu == from_blocks
+
+
+def test_jordan_profile_of_conjugated_blocks():
+    # blocks (3, 1) at 1/2, a size-2 block for X^2 + 1 (companion C with
+    # I above the diagonal), and a single block at -3, conjugated by an
+    # invertible S = L·U
+    C = [[0, -1], [1, 0]]
+    J = [[F(0)] * 9 for _ in range(9)]
+    for i in range(4):
+        J[i][i] = F(1, 2)
+    J[0][1] = J[1][2] = F(1)
+    for i in range(2):
+        for j in range(2):
+            J[4 + i][4 + j] = J[6 + i][6 + j] = F(C[i][j])
+        J[4 + i][6 + i] = F(1)
+    J[8][8] = F(-3)
+    rng = random.Random(3)
+
+    def unit_triangular(below):
+        return [
+            [F(1) if i == j else F(rng.randint(-4, 4), rng.randint(1, 5)) if (j < i) == below else F(0)
+             for j in range(9)]
+            for i in range(9)
+        ]
+
+    S = mat_mul(unit_triangular(True), unit_triangular(False))
+    M = mat_mul(S, mat_mul(J, inverse(S)))
+    profile = jordan_profile(M)
+    got = {p.pretty(): sizes for p, sizes in profile.entries}
+    assert got == {"X - 1/2": (3, 1), "X + 3": (1,), "X^2 + 1": (2,)}
+    x = UNIVARIATE.var(0)
+    assert minpoly(M) == (x - F(1, 2)) ** 3 * (x + 3) * (x * x + 1) ** 2
+
+
+def test_empty_matrix():
+    assert charpoly([]).pretty() == "1"
+    assert minpoly([]).pretty() == "1"
+    assert jordan_profile([]).entries == [] and jordan_profile([]).dimension == 0
+    assert rank([]) == 0
 
 
 def test_localize_splits_nilpotent_part():

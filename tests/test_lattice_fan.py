@@ -3,7 +3,6 @@ decompositions."""
 
 import pytest
 
-from conftest import product_of_lines, projective_space
 from torfan.errors import NoConeContains, OverlappingCones, ValidationError
 from torfan.lattice_fan import (
     Fan,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ideal_equal, product_of_lines, projective_space
+from conftest import ideal_equal
 from torfan.bundle_blowup import nlb_from_k
 from torfan.errors import NotMonotone
 from torfan.exact_algebra import char_min_poly, jordan_profile

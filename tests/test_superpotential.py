@@ -8,11 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import product_of_lines, projective_space
+from conftest import product_of_lines
 from torfan.bundle_blowup import nlb_from_k
 from torfan.errors import HalfSpaceFan, MirrorMismatch
-from torfan.quantum_algebra import omega_operator, qh_presentation, sh_presentation
+from torfan.exact_algebra import match_nearest
+from torfan.quantum_algebra import qh_presentation, sh_presentation
 from torfan.superpotential import (
+    JacAlgebra,
     _hessian,
     _log_gradient,
     barycentre_landing_check,
@@ -127,6 +129,19 @@ def test_mirror_mismatch_raises(p2):
     J_wrong = jacobian_ring(build_superpotential(Q))
     with pytest.raises(MirrorMismatch):
         mirror_check(fan, P, A, J_wrong)
+
+
+def test_mirror_eigenvalue_match_is_exact(p2):
+    fan, P = p2
+    _, A = qh_presentation(fan, P)
+    J = jacobian_ring(build_superpotential(P))
+    moved = [row[:] for row in J.W_matrix]
+    moved[0][0] += F(1, 10 ** 12)
+    # the float match alone cannot see the move
+    eig, eig_moved = J.eigenvalues(), JacAlgebra(J.algebra, moved).eigenvalues()
+    assert max(d for _, d, _ in match_nearest(eig_moved, eig)) < 1e-8
+    with pytest.raises(MirrorMismatch, match="^eigenvalue match$"):
+        mirror_check(fan, P, A, JacAlgebra(J.algebra, moved))
 
 
 def test_family_closure(p2):
