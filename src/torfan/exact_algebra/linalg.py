@@ -85,10 +85,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def trace(A):
-    return sum((A[i][i] for i in range(len(A))), _ZERO)
-
-
 def to_numpy(A, dtype=complex):
     """Numeric copy of a matrix; the empty matrix gives shape (0, 0)."""
     if not A:
@@ -205,26 +201,45 @@ def _int_mul(A, B):
     return out
 
 
-def _int_rank(A):
-    """Rank of an integer matrix by Bareiss elimination (Bareiss, 1968):
-    every division by the previous pivot is exact."""
+def _bareiss(A):
+    """Fraction-free elimination of an integer matrix (Bareiss, 1968):
+    every division by the previous pivot is exact.  Returns the pivots
+    and the sign of the order in which their rows were taken; for a
+    nonsingular square matrix that sign times the last pivot is the
+    determinant."""
     rows = [row for row in A if any(row)]
-    r, prev = 0, 1
+    pivots, sign = [], 1
     while rows:
         # leftmost nonzero column; the entries left of it are all zero
-        c, i = min(
-            (next(j for j, x in enumerate(row) if x), i) for i, row in enumerate(rows)
-        )
+        c = 0
+        while not any(row[c] for row in rows):
+            c += 1
+        i = next(i for i, row in enumerate(rows) if row[c])
+        if i % 2:
+            sign = -sign
         top = rows.pop(i)
         p, tail = top[c], top[c + 1:]
+        prev = pivots[-1] if pivots else 1
         rows = [
             [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1:], tail)]
             for row in rows
         ]
         rows = [row for row in rows if any(row)]
-        prev = p
-        r += 1
-    return r
+        pivots.append(p)
+    return pivots, sign
+
+
+def _int_rank(A):
+    """Rank of an integer matrix."""
+    return len(_bareiss(A)[0])
+
+
+def _int_det(A):
+    """Determinant of a square integer matrix."""
+    pivots, sign = _bareiss(A)
+    if len(pivots) < len(A):
+        return 0
+    return sign * pivots[-1] if pivots else 1
 
 
 def _poly_from_coeffs(coeffs):

@@ -7,7 +7,7 @@ cones (0-based); lower-dimensional cones are the subsets of those.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 
 from ._feas import equality, feasible_point
@@ -19,6 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .exact_algebra import rank, solve
+from .exact_algebra.linalg import _int_det
 
 __all__ = [
     "Fan",
@@ -98,6 +99,9 @@ def _check_structure(fan):
             raise ValidationError(f"cone {cone} indexes a missing edge")
         if len(set(cone)) != len(cone):
             raise ValidationError(f"cone {cone} repeats an edge")
+    for ca, cb in combinations(fan.max_cones, 2):
+        if set(ca) <= set(cb) or set(cb) <= set(ca):
+            raise ValidationError(f"maximal cones {ca} and {cb} are equal or nested")
 
 
 def _max_minor_gcd(rows, n):
@@ -112,37 +116,32 @@ def _max_minor_gcd(rows, n):
     return abs(g)
 
 
-def _int_det(M):
-    """Integer determinant by fraction-free expansion (small sizes)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    det = 0
-    for j in range(n):
-        if M[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-            det += (-1) ** j * M[0][j] * _int_det(minor)
-    return det
-
-
 def _cones_meet_in_face(fan, ca, cb):
-    """Exact separating-functional test that two simplicial cones
-    intersect exactly in the cone of their common edges."""
-    common = sorted(set(ca) & set(cb))
-    only_a = [i for i in ca if i not in common]
-    only_b = [i for i in cb if i not in common]
-    if not only_a or not only_b:
-        return True  # one is a face of the other
-    ineqs = []
-    for i in common:
-        ineqs.extend(equality(fan.edges[i], 0))
-    for i in only_a:
-        ineqs.append((list(fan.edges[i]), 1))
-    for i in only_b:
-        ineqs.append(([-x for x in fan.edges[i]], 1))
+    """Exact separating-functional test that two simplicial cones, neither
+    a face of the other, intersect exactly in the cone of their common
+    edges."""
+    a, b = set(ca), set(cb)
+    ineqs = [q for i in a & b for q in equality(fan.edges[i], 0)]
+    ineqs += [(list(fan.edges[i]), 1) for i in a - b]
+    ineqs += [([-x for x in fan.edges[i]], 1) for i in b - a]
     return feasible_point(ineqs, fan.rank) is not None
+
+
+def _generic_ray_cover(n, cones):
+    """How many of the full-dimensional ``cones``, given as (rows, det),
+    hold the ray (1, t, t^2, ...) of the moment curve, with t raised until
+    the ray lies on no cone's boundary hyperplane.  A cone holds it when
+    its Cramer numerators all have the sign of its determinant."""
+    for t in count(1):
+        v = tuple(t**k for k in range(n))
+        inside = 0
+        for rows, det in cones:
+            cramer = [_int_det(rows[:i] + [v] + rows[i + 1:]) for i in range(n)]
+            if 0 in cramer:
+                break
+            inside += all((c > 0) == (det > 0) for c in cramer)
+        else:
+            return v, inside
 
 
 def validate_fan(fan):
@@ -150,63 +149,78 @@ def validate_fan(fan):
 
     Raises OverlappingCones when two maximal cones intersect in a
     non-face; otherwise returns a FanReport.
+
+    Two full-dimensional cones on a common ridge meet in it exactly when
+    their other edges lie on opposite sides of it.  A pure fan whose
+    every ridge lies in exactly two cones, on opposite sides, covers the
+    sphere of rays with a constant multiplicity; it is a complete fan
+    exactly when one generic ray lies in one cone (Ewald, Combinatorial
+    Convexity and Algebraic Geometry, ch. V).  Otherwise the pairs that
+    share no ridge are checked by exact Fourier–Motzkin elimination.
     """
     _check_structure(fan)
     n = fan.rank
     notes = []
 
     smooth = True
-    for cone in fan.max_cones:
-        rows = [list(fan.edges[i]) for i in cone]
-        if rank(rows) != len(cone):
+    full = {}  # index of each full-dimensional cone -> (rows, det)
+    for a, cone in enumerate(fan.max_cones):
+        rows = [fan.edges[i] for i in cone]
+        if len(cone) == n:
+            det = _int_det(rows)
+            full[a] = rows, det
+            simplicial, unimodular = det != 0, abs(det) == 1
+        else:
+            simplicial = rank(rows) == len(cone)
+            unimodular = simplicial and _max_minor_gcd(rows, n) == 1
+        if not simplicial:
             raise ValidationError(f"cone {cone} is not simplicial (dependent edges)")
-        if _max_minor_gcd(rows, n) != 1:
+        if not unimodular:
             smooth = False
             notes.append(f"cone {cone} does not extend to a lattice basis")
 
-    for a in range(len(fan.max_cones)):
-        for b in range(a + 1, len(fan.max_cones)):
-            if not _cones_meet_in_face(fan, fan.max_cones[a], fan.max_cones[b]):
+    # Cones list their edges in index order, so a ridge is one tuple in
+    # every cone on it.  The side of the ridge on which the cone's k-th
+    # edge lies is the sign of det(ridge rows, k-th row), which is the
+    # cone's det times (-1)^(n-1-k).
+    ridges = {}
+    for a, (_, det) in full.items():
+        cone = fan.max_cones[a]
+        for k in range(n):
+            side = (det > 0) == ((n - 1 - k) % 2 == 0)
+            ridges.setdefault(cone[:k] + cone[k + 1:], []).append((a, side))
+    for sides in ridges.values():
+        seen = {}
+        for a, side in sides:
+            if side in seen:
                 raise OverlappingCones(
-                    f"cones {fan.max_cones[a]} and {fan.max_cones[b]} overlap"
+                    f"cones {fan.max_cones[seen[side]]} and {fan.max_cones[a]}"
+                    " lie on the same side of their common ridge"
                 )
+            seen[side] = a
+
+    complete = (
+        len(full) == len(fan.max_cones) > 0
+        and all(len(sides) == 2 for sides in ridges.values())
+    )
+    if complete:
+        v, inside = _generic_ray_cover(n, full.values())
+        if inside != 1:
+            raise OverlappingCones(f"the ray {v} lies in {inside} maximal cones")
+    else:
+        adjacent = {frozenset(a for a, _ in sides) for sides in ridges.values()}
+        for a, b in combinations(range(len(fan.max_cones)), 2):
+            ca, cb = fan.max_cones[a], fan.max_cones[b]
+            if frozenset((a, b)) not in adjacent and not _cones_meet_in_face(fan, ca, cb):
+                raise OverlappingCones(f"cones {ca} and {cb} overlap")
 
     covered = set().union(*map(set, fan.max_cones)) if fan.max_cones else set()
     if covered != set(range(len(fan.edges))):
         notes.append("some edges belong to no maximal cone")
 
-    complete = _is_complete(fan)
     if not complete:
         notes.append("support is a proper subset of the ambient space")
     return FanReport(smooth, complete, tuple(notes))
-
-
-def _is_complete(fan):
-    """Ridge-pairing completeness: pure full-dimensional, every ridge
-    shared by exactly two maximal cones, connected through ridges."""
-    n = fan.rank
-    if not fan.max_cones:
-        return False
-    if any(len(c) != n for c in fan.max_cones):
-        return False
-    ridge_count = {}
-    for idx, cone in enumerate(fan.max_cones):
-        for ridge in combinations(cone, n - 1):
-            ridge_count.setdefault(frozenset(ridge), []).append(idx)
-    if any(len(v) != 2 for v in ridge_count.values()):
-        return False
-    # connectivity through shared ridges
-    adj = {i: set() for i in range(len(fan.max_cones))}
-    for pair in ridge_count.values():
-        adj[pair[0]].add(pair[1])
-        adj[pair[1]].add(pair[0])
-    seen, stack = {0}, [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(fan.max_cones)
 
 
 def _is_face(fan, subset):

@@ -196,6 +196,15 @@ MALFORMED = [
     ("kato", {"entries": [[["a", 0]], [[0], [1]]]}),
     ("kato", {"entries": [1]}),
     ("kato", {"entries": 1}),
+    (
+        "validate",
+        {
+            "rank": 2,
+            "edges": [[-5, -4], [-5, -2], [1, -3], [-1, 2]],
+            "max_cones": [[1, 3], [2, 4], [3, 1], [4, 2]],
+            "lambdas": ["-1"] * 4,
+        },
+    ),
 ]
 
 
@@ -207,4 +216,20 @@ def test_malformed_document_exits_2_with_named_error(capsys, tmp_path, cmd, doc)
     name = err.strip().splitlines()[-1].split(":")[0]
     assert code == 2
     assert issubclass(getattr(errors, name), errors.TorfanError)
+    assert "Traceback" not in err
+
+
+def test_overlapping_cones_exit_1(capsys, tmp_path):
+    # the pentagram: five rays, each cone joins a ray to the next but one
+    doc = {
+        "rank": 2,
+        "edges": [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]],
+        "max_cones": [[1, 3], [3, 5], [5, 2], [2, 4], [4, 1]],
+        "lambdas": ["-1"] * 5,
+    }
+    path = tmp_path / "pentagram.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--input", str(path))
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith("OverlappingCones")
     assert "Traceback" not in err
