@@ -8,6 +8,7 @@ import pytest
 from torfan.errors import (
     ContourHitsSpectrum,
     DimensionMismatch,
+    IdempotencyFailed,
     NotSemisimple,
 )
 from torfan.perturbation import (
@@ -43,6 +44,36 @@ def test_family_evaluation():
     assert A0 == [[F(0), F(1)], [F(0), F(0)]]
 
 
+def _horner_per_entry(fam, x):
+    """Horner's rule one entry at a time: the reference for the
+    whole-array evaluation, which does the same arithmetic."""
+    A = np.empty((fam.size, fam.size), dtype=complex)
+    for i in range(fam.size):
+        for j in range(fam.size):
+            acc = 0j
+            for c in reversed(fam.entries[i][j]):
+                acc = acc * x + c
+            A[i, j] = acc
+    return A
+
+
+def test_family_evaluation_matches_per_entry_horner():
+    rng = np.random.default_rng(20250)
+    families = [UPPER, THREE]
+    for n in (1, 3, 6):  # entries of degree 0 to 3, padded unevenly
+        cells = [
+            [
+                tuple(complex(*rng.normal(size=2)) for _ in range(rng.integers(1, 5)))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        families.append(MatrixFamily.make(cells))
+    for fam in families:
+        for x in (0.0, 0.25, -1.5, 1e-6):
+            assert np.array_equal(fam(x), _horner_per_entry(fam, x))
+
+
 def test_eigenprojection_explicit():
     for x in (0.1, 0.01, 0.001):
         P = eigenprojection(UPPER(x), x, x / 2)
@@ -53,7 +84,68 @@ def test_eigenprojection_explicit():
 
 def test_contour_hits_spectrum():
     A = np.diag([0.0, 1.0])
+    with pytest.raises(ContourHitsSpectrum, match="threshold 1e-12"):
+        eigenprojection(A, 0.0, 1.0)
+
+
+def test_contour_hits_spectrum_on_a_midpoint_level():
+    # e^{i pi/16} is a node of the 32-node level, not of the first 16
+    A = np.diag([0.0, np.exp(1j * np.pi / 16)])
     with pytest.raises(ContourHitsSpectrum):
+        eigenprojection(A, 0.0, 1.0)
+
+
+def _fixed_trapezoid(A, lam, radius, nodes=256):
+    """The fixed-node trapezoid sum, one resolvent at a time: the oracle
+    for nested doubling."""
+    n = A.shape[0]
+    P = np.zeros((n, n), dtype=complex)
+    for th in 2 * np.pi * np.arange(nodes) / nodes:
+        w = radius * np.exp(1j * th)
+        P += w * np.linalg.inv((lam + w) * np.eye(n) - A)
+    return P / nodes
+
+
+def _random_cases(seed):
+    """Random complex matrices, n = 2..12, each with a circle about one
+    eigenvalue at a random fraction of the gap to the nearest other."""
+    rng = np.random.default_rng(seed)
+    for n in list(range(2, 13)) * 2:
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = np.linalg.eigvals(A)
+        i = int(rng.integers(n))
+        gap = float(np.min(np.abs(np.delete(w, i) - w[i])))
+        yield A, w[i], gap * rng.uniform(0.1, 0.9)
+
+
+def test_eigenprojection_matches_fixed_trapezoid():
+    cases = list(_random_cases(20251))
+    for x in 10.0 ** -np.arange(1, 7):  # the Kato family down to x = 1e-6
+        cases += [(UPPER(x), x, x / 2), (UPPER(x), 0.0, x / 2)]
+    for A, lam, radius in cases:
+        P = eigenprojection(A, lam, radius).matrix
+        oracle = _fixed_trapezoid(A, lam, radius)
+        scale = max(1.0, float(np.linalg.norm(oracle, 2)))
+        assert np.linalg.norm(P - oracle, 2) <= 1e-12 * scale
+
+
+def test_eigenprojection_node_counts():
+    # the outer eigenvalue at twice the radius: P_N is off by 2^-N
+    A = np.diag([0.0, 2.0])
+    full = eigenprojection(A, 0.0, 1.0)
+    assert full.nodes == 128 and full.difference <= 1e-13
+    for cap in (64, 100):  # a cap between levels rounds down to 64
+        capped = eigenprojection(A, 0.0, 1.0, nodes=cap)
+        assert capped.nodes == 64 and capped.difference > 1e-13
+        assert np.allclose(capped.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    used = {eigenprojection(*case).nodes for case in _random_cases(20252)}
+    assert used <= {32, 64, 128, 256} and len(used) > 1
+
+
+def test_idempotency_failed_at_the_cap():
+    # 0.999 lies just outside the unit circle: quadrature cannot converge
+    A = np.diag([0.0, 0.999])
+    with pytest.raises(IdempotencyFailed, match="after 256 nodes"):
         eigenprojection(A, 0.0, 1.0)
 
 
