@@ -52,6 +52,19 @@ def feasible_point(ineqs, nvars):
     return point + [val]
 
 
+def recession_ray(rows, nvars):
+    """A nonzero u with a·u >= 0 for every row a, or None: one search
+    per signed coordinate bound u_j >= 1, then -u_j >= 1, for j in order."""
+    for j in range(nvars):
+        for sign in (1, -1):
+            unit = [0] * nvars
+            unit[j] = sign
+            u = feasible_point([(a, 0) for a in rows] + [(unit, 1)], nvars)
+            if u is not None:
+                return u
+    return None
+
+
 def equality(a, b):
     """Encode a·u == b as a pair of opposite inequalities."""
     return [(list(a), Fraction(b)), ([-x for x in a], -Fraction(b))]

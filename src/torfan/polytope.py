@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
-from ._feas import feasible_point
+from ._feas import feasible_point, recession_ray
 from .errors import (
     ChopTooDeep,
     DivisibilityFails,
@@ -103,15 +103,7 @@ def vertices(P):
 
 def is_bounded(P):
     """True when the recession cone {<y,e_i> >= 0} is trivial."""
-    for j in range(P.rank):
-        for sign in (1, -1):
-            ineqs = [(list(e), 0) for e in P.edges]
-            unit = [0] * P.rank
-            unit[j] = sign
-            ineqs.append((unit, 1))
-            if feasible_point(ineqs, P.rank) is not None:
-                return False
-    return True
+    return recession_ray(P.edges, P.rank) is None
 
 
 def _interior_lattice_points(P, V):

@@ -11,7 +11,7 @@ from math import exp
 
 import numpy as np
 
-from ._feas import feasible_point
+from ._feas import recession_ray
 from .errors import (
     HalfSpaceFan,
     MirrorMismatch,
@@ -19,20 +19,13 @@ from .errors import (
     SeparationFailed,
 )
 from .exact_algebra import (
-    Polynomial,
     Ring,
     charpoly,
     complex_eigen,
     groebner_basis,
-    identity,
-    inverse,
-    mat_add,
     match_nearest,
-    mat_mul,
-    mat_scale,
     quotient_algebra,
     to_numpy,
-    zero_matrix,
 )
 from .lattice_fan import batyrev_decompose, primitive_collections
 from .polytope import barycentre
@@ -56,24 +49,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Superpotential:
-    """One Laurent term per fan edge: t^{t_exponent} z^{edge}."""
+    """One Laurent term per fan edge: t^{t_exponent} z^{edge}.
+
+    ``jacobian_ring`` and ``critical_points`` take W at t = 1, where
+    every coefficient is 1, unless the caller passes its own
+    coefficients; the t-exponents serve the exact mirror comparison."""
 
     rank: int
     terms: tuple  # (edge tuple, t_exponent Fraction)
-
-    def coefficients(self, t_value=1):
-        """Specialized rational coefficients, one per term."""
-        return [Fraction(t_value) ** _integer(t_exp) for _, t_exp in self.terms]
 
     def edges(self):
         return [e for e, _ in self.terms]
 
 
-def _integer(x):
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ValueError(f"exponent {x} is not an integer")
-    return int(x)
+def _coefficients(W, coefficients):
+    """The caller's coefficients as Fractions, else W's at t = 1."""
+    if coefficients is None:
+        return [Fraction(1)] * len(W.terms)
+    return [Fraction(c) for c in coefficients]
 
 
 @dataclass(frozen=True)
@@ -113,70 +106,33 @@ def _laurent_ring(n):
     return Ring(tuple(f"z{i + 1}" for i in range(n)) + ("u",))
 
 
-def _gradient_generators(ring, edges, coeffs):
-    """Cleared polynomials z_j dW/dz_j plus the saturation relation."""
-    n = len(edges[0]) if edges else 0
-    gens = []
-    for j in range(n):
-        terms = {}
-        for e, c in zip(edges, coeffs):
-            if e[j]:
-                terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c * e[j]
-        terms = {m: c for m, c in terms.items() if c}
-        if not terms:
-            continue
-        shift = [max(0, -min(m[v] for m in terms)) for v in range(n)]
-        cleared = {
-            tuple(m[v] + shift[v] for v in range(n)) + (0,): c
-            for m, c in terms.items()
-        }
-        gens.append(Polynomial(ring, cleared))
-    sat = Polynomial(
-        ring, {tuple([1] * n) + (1,): Fraction(1), (0,) * (n + 1): Fraction(-1)}
-    )
-    gens.append(sat)
-    return gens
-
-
-def _laurent_operator(A, edges, coeffs):
-    """Matrix of a Laurent polynomial on a saturated quotient algebra,
-    using exact inverses of the (invertible) variable matrices."""
-    n = A.dimension
-    if n == 0:
-        return []
-    names = A.ring.names[:-1]  # z variables
-    mats = [A.mult_matrices[name] for name in names]
-    inv_mats = {}
-    out = zero_matrix(n, n)
+def _laurent_polynomial(ring, edges, coeffs):
+    """The Laurent polynomial sum c_i z^{e_i} as a polynomial in z and
+    the saturation variable u: z^e is written u^s z^{e+s} with
+    s = max(0, -min e), the same class because u z_1...z_n = 1."""
+    f = ring.zero()
     for e, c in zip(edges, coeffs):
-        term = identity(n)
-        for j, ej in enumerate(e):
-            if ej > 0:
-                for _ in range(ej):
-                    term = mat_mul(mats[j], term)
-            elif ej < 0:
-                if j not in inv_mats:
-                    inv_mats[j] = inverse(mats[j])
-                for _ in range(-ej):
-                    term = mat_mul(inv_mats[j], term)
-        out = mat_add(out, mat_scale(term, c))
-    return out
+        s = max(0, -min(e))
+        f = f + ring.monomial(tuple(x + s for x in e) + (s,), c)
+    return f
 
 
-def jacobian_ring(W, t_value=1, coefficients=None):
-    """Quotient by the logarithmic-derivative ideal, saturated by an
-    inverse for the product of the variables."""
+def jacobian_ring(W, coefficients=None):
+    """Quotient by the logarithmic-derivative ideal z_j dW/dz_j,
+    saturated by u with u z_1...z_n = 1, and the matrix of W on it.
+    W's coefficients are 1 (t = 1) unless given; u clears the negative
+    exponents of both the generators and W."""
     edges = W.edges()
-    coeffs = (
-        [Fraction(c) for c in coefficients]
-        if coefficients is not None
-        else W.coefficients(t_value)
-    )
+    coeffs = _coefficients(W, coefficients)
     ring = _laurent_ring(W.rank)
-    gens = _gradient_generators(ring, edges, coeffs)
+    gens = [
+        _laurent_polynomial(ring, edges, [c * e[j] for e, c in zip(edges, coeffs)])
+        for j in range(W.rank)
+    ]
+    gens = [g for g in gens if g]
+    gens.append(ring.monomial((1,) * (W.rank + 1)) - 1)
     A = quotient_algebra(groebner_basis(gens))
-    Wm = _laurent_operator(A, edges, coeffs)
-    return JacAlgebra(A, Wm)
+    return JacAlgebra(A, A.operator(_laurent_polynomial(ring, edges, coeffs)))
 
 
 # -- numeric Laurent evaluation ---------------------------------------
@@ -219,18 +175,15 @@ def _newton_polish(E, c, z0, tol=1e-12, max_iter=100):
     return z
 
 
-def critical_points(W, t_value=1, seed=0, coefficients=None, jac=None):
+def critical_points(W, seed=0, coefficients=None, jac=None):
     """Distinct critical points on the torus, read from simultaneous
     eigenvectors of the coordinate multiplication matrices and polished
-    by Newton iteration; Hessian ranks from singular values."""
-    coeffs = (
-        [Fraction(c) for c in coefficients]
-        if coefficients is not None
-        else W.coefficients(t_value)
-    )
+    by Newton iteration; Hessian ranks from singular values. W's
+    coefficients are 1 (t = 1) unless given; ``jac`` is the Jacobian
+    ring of the same W and coefficients when the caller has it."""
     E = np.array(W.edges())
-    c = np.array([complex(x) for x in coeffs])
-    J = jac if jac is not None else jacobian_ring(W, t_value, coefficients)
+    c = np.array([complex(x) for x in _coefficients(W, coefficients)])
+    J = jac if jac is not None else jacobian_ring(W, coefficients)
     A = J.algebra
     if A.dimension == 0:
         return []
@@ -412,11 +365,10 @@ def barycentre_landing_check(P, lam_X):
     for e, l in zip(P.edges, P.lambdas):
         if sum(Fraction(a) * b for a, b in zip(e, y)) - l != Fraction(1, lam_X):
             return False
-    base = Superpotential(P.rank, tuple((tuple(e), Fraction(0)) for e in P.edges))
-    pts = critical_points(base)
+    pts = critical_points(build_superpotential(P))
     if not pts:
         return False
-    E = np.array(base.edges())
+    E = np.array(P.edges)
     for p in pts:
         g = _log_gradient(E, np.ones(len(E)), p.coordinates)
         if np.linalg.norm(g) > 1e-8:
@@ -428,18 +380,11 @@ def galkin_point(fan, tol=1e-10, max_iter=200):
     """Positive real critical point by damped Newton minimization of
     the edge-exponential sum; raises HalfSpaceFan (with a certificate
     direction) when the fan sits in a closed half-space."""
-    n = fan.rank
-    for j in range(n):
-        for sign in (1, -1):
-            ineqs = [([-x for x in e], 0) for e in fan.edges]
-            unit = [0] * n
-            unit[j] = sign
-            ineqs.append((unit, 1))
-            cert = feasible_point(ineqs, n)
-            if cert is not None:
-                raise HalfSpaceFan(tuple(cert))
+    cert = recession_ray([[-x for x in e] for e in fan.edges], fan.rank)
+    if cert is not None:
+        raise HalfSpaceFan(tuple(cert))
     E = np.array(fan.edges, dtype=float)
-    u = np.zeros(n)
+    u = np.zeros(fan.rank)
     for _ in range(max_iter):
         vals = np.exp(E @ u)
         grad = E.T @ vals
@@ -482,7 +427,7 @@ def perturb_and_separate(P, seed, radius=Fraction(1, 100)):
     coeffs = [
         Fraction(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert
     ]
-    W = Superpotential(P.rank, tuple((tuple(e), Fraction(0)) for e in P.edges))
+    W = build_superpotential(P)
     J = jacobian_ring(W, coefficients=coeffs)
     pts = critical_points(W, coefficients=coeffs, jac=J, seed=seed)
     values = [p.value for p in pts]

@@ -18,13 +18,16 @@ def projective_space(m):
     return fan, P
 
 
-def product_of_lines():
-    """Fan and monotone moment polytope of the product of two lines
+def product_of_lines(k=2):
+    """Fan and monotone moment polytope of the product of k lines
     (index 2)."""
-    edges = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    cones = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    fan = Fan.make(2, edges, cones)
-    P = MomentPolytope.make(2, edges, [0, -1, 0, -1])
+    edges, cones = [], [()]
+    for i in range(k):
+        unit = tuple(1 if j == i else 0 for j in range(k))
+        edges += [unit, tuple(-x for x in unit)]
+        cones = [c + (2 * i + s,) for c in cones for s in (0, 1)]
+    fan = Fan.make(k, edges, cones)
+    P = MomentPolytope.make(k, edges, [0, -1] * k)
     return fan, P
 
 

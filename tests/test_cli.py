@@ -2,10 +2,15 @@
 determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import torfan
 from torfan import errors
 from torfan.cli import main, parse_fan_document, parse_matrix_document
 
@@ -233,3 +238,43 @@ def test_overlapping_cones_exit_1(capsys, tmp_path):
     assert code == 1
     assert err.strip().splitlines()[-1].startswith("OverlappingCones")
     assert "Traceback" not in err
+
+
+FRACTIONAL_SUPPORT = [
+    ({**P2, "lambdas": ["1/2", 0, -1]}, 3),
+    (
+        {
+            "rank": 2,
+            "edges": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+            "max_cones": [[1, 3], [1, 4], [2, 3], [2, 4]],
+            "lambdas": ["1/3", -1, 0, -1],
+        },
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,count", FRACTIONAL_SUPPORT)
+def test_fractional_support_numbers_run_at_t_equal_one(capsys, tmp_path, doc, count):
+    # W is taken at t = 1, so a support number that is not an integer
+    # leaves every coefficient 1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "critical", "--input", str(path), "--format", "json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["results"]["count"] == count
+    code, out, err = run(capsys, "mirror", "--input", str(path), "--format", "json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["results"]["ok"]
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy is imported lazily, by the commands that factor polynomials
+    env = dict(os.environ)
+    src = str(Path(torfan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, torfan.cli; print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -4,18 +4,32 @@ mirror comparisons, and support-number perturbation."""
 import cmath
 import random
 from fractions import Fraction
+from math import exp
 
 import numpy as np
 import pytest
 
-from conftest import product_of_lines
-from torfan.bundle_blowup import nlb_from_k
+from conftest import product_of_lines, projective_space
+from torfan.bundle_blowup import blowup_point, nlb_from_k
 from torfan.errors import HalfSpaceFan, MirrorMismatch
-from torfan.exact_algebra import match_nearest
+from torfan.exact_algebra import (
+    Polynomial,
+    groebner_basis,
+    identity,
+    inverse,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    match_nearest,
+    quotient_algebra,
+    zero_matrix,
+)
+from torfan.polytope import MomentPolytope
 from torfan.quantum_algebra import qh_presentation, sh_presentation
 from torfan.superpotential import (
     JacAlgebra,
     _hessian,
+    _laurent_ring,
     _log_gradient,
     barycentre_landing_check,
     build_superpotential,
@@ -93,6 +107,81 @@ def test_laurent_derivatives_match_term_loops():
         E, c = np.array(edges), np.array(coeffs)
         assert np.allclose(_log_gradient(E, c, z), g, rtol=1e-12, atol=1e-12)
         assert np.allclose(_hessian(E, c, z), H, rtol=1e-12, atol=1e-12)
+
+
+def _shifted_generators(ring, edges, coeffs):
+    """Reference: z_j dW/dz_j cleared by one monomial shift per variable,
+    plus the saturation relation."""
+    n = len(edges[0])
+    gens = []
+    for j in range(n):
+        terms = {}
+        for e, c in zip(edges, coeffs):
+            if e[j]:
+                terms[tuple(e)] = terms.get(tuple(e), F(0)) + c * e[j]
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            continue
+        shift = [max(0, -min(m[v] for m in terms)) for v in range(n)]
+        cleared = {
+            tuple(m[v] + shift[v] for v in range(n)) + (0,): c
+            for m, c in terms.items()
+        }
+        gens.append(Polynomial(ring, cleared))
+    gens.append(Polynomial(ring, {(1,) * (n + 1): F(1), (0,) * (n + 1): F(-1)}))
+    return gens
+
+
+def _inverse_operator(A, edges, coeffs):
+    """Reference: the matrix of W from exact inverses of the variable
+    matrices."""
+    n = A.dimension
+    mats = [A.mult_matrices[name] for name in A.ring.names[:-1]]
+    inv_mats = {}
+    out = zero_matrix(n, n)
+    for e, c in zip(edges, coeffs):
+        term = identity(n)
+        for j, ej in enumerate(e):
+            if ej < 0 and j not in inv_mats:
+                inv_mats[j] = inverse(mats[j])
+            for _ in range(abs(ej)):
+                term = mat_mul(mats[j] if ej > 0 else inv_mats[j], term)
+        out = mat_add(out, mat_scale(term, c))
+    return out
+
+
+def _oracle_cases():
+    cases = [projective_space(m)[1] for m in range(2, 6)]
+    cases += [product_of_lines(k)[1] for k in range(2, 5)]
+    for m in range(1, 4):
+        for k in range(1, m + 1):
+            cases.append(nlb_from_k(*projective_space(m), k)[1])
+    fan, P = projective_space(2)
+    P = MomentPolytope.make(2, P.edges, [-1, -1, -1])  # reflexive P^2
+    for _ in range(3):
+        cone = next(i for i, c in enumerate(fan.max_cones) if max(c) <= 2)
+        fan, P = blowup_point(fan, P, cone)
+        cases.append(P)
+    return cases
+
+
+def test_jacobian_ring_matches_shifted_generators_and_inverse_operator():
+    # u z_1...z_n = 1 makes u^s z^(e+s) the class of z^e, so the ideal,
+    # its reduced basis and the matrix of W equal the old construction
+    cases = _oracle_cases()
+    assert len(cases) == 16
+    perturbed = []
+    for seed, P in enumerate((cases[0], cases[4], cases[-3])):  # P^2, (P^1)^2, Bl1P2
+        lam_pert, _ = perturb_and_separate(P, seed)
+        coeffs = [F(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert]
+        perturbed.append((P, coeffs))
+    for P, coeffs in [(P, None) for P in cases] + perturbed:
+        W = build_superpotential(P)
+        J = jacobian_ring(W, coefficients=coeffs)
+        coeffs = coeffs or [F(1)] * len(P.edges)
+        G = groebner_basis(_shifted_generators(_laurent_ring(P.rank), P.edges, coeffs))
+        assert J.algebra.groebner == G
+        assert J.W_matrix == _inverse_operator(quotient_algebra(G), P.edges, coeffs)
 
 
 def test_critical_points_deterministic(p1xp1):
