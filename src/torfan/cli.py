@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bundle_blowup import blowup_face, blowup_point, nlb_from_k
-from .errors import ParseError, TorfanError, Unbounded, ValidationError
+from .errors import ClusterAmbiguous, ParseError, TorfanError, Unbounded, ValidationError
 from .exact_algebra import char_min_poly, complex_eigen, modulus_key, to_numpy
 from .lattice_fan import Fan, primitive_collections, validate_fan
 from .perturbation import (
     MatrixFamily,
+    _cluster_radius,
     default_ray,
     eigenprojection,
     gevec_convergence,
@@ -401,23 +402,18 @@ def _cmd_separate(fan, P, options, args, spec=None):
     }
 
 
-def _pole_exponent(fam, path, ray):
+def _pole_exponent(fam, path):
     """Least-squares slope of log ||P(x)|| against log x over the tail
-    of the ray; None when the branch collides with another."""
+    of the ray, P the total projection of the eigenvalues within 1e-12
+    of the branch; None when that cluster is not isolated."""
     xs, norms = [], []
     for x, lam in path.samples[-6:]:
         A = fam(x)
         w = np.linalg.eigvals(A)
-        others = w[np.abs(w - lam) > 1e-12]
-        if len(others) == len(w):
+        try:
+            radius = _cluster_radius(w, lam, int(np.sum(np.abs(w - lam) <= 1e-12)))
+        except ClusterAmbiguous:
             return None
-        if not len(others):
-            radius = 1.0
-        else:
-            gap = float(np.min(np.abs(others - lam)))
-            if gap < 1e-12:
-                return None
-            radius = gap / 2
         P = eigenprojection(A, lam, radius)
         xs.append(np.log(x))
         norms.append(np.log(np.linalg.norm(P.matrix, 2)))
@@ -434,7 +430,7 @@ def _cmd_kato(fam, args):
                 "start": complex(path.samples[0][1]),
                 "limit": complex(path.samples[-1][1]),
                 "matched": path.matched,
-                "pole_exponent": _pole_exponent(fam, path, ray),
+                "pole_exponent": _pole_exponent(fam, path),
             }
         )
     branches.sort(key=lambda b: (abs(complex(b["limit"])), abs(complex(b["start"]))))

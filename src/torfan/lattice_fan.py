@@ -254,13 +254,6 @@ def batyrev_decompose(fan, I, lambdas=None):
             coeffs = solve(cols, v)
         except Inconsistent:
             continue
-        # the cone is simplicial: check residual of the full system
-        residual = [
-            sum(c * col for c, col in zip(coeffs, row)) - rhs
-            for row, rhs in zip(cols, v)
-        ]
-        if any(residual):
-            continue
         if any(c < 0 for c in coeffs):
             continue
         J, c = [], []

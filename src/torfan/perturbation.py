@@ -33,8 +33,8 @@ from .exact_algebra import (
     nullspace,
     rank,
     rref,
+    to_numpy,
     transpose,
-    zero_matrix,
 )
 
 __all__ = [
@@ -137,12 +137,9 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors):
-        """Orthonormalize; an ndarray holds the vectors as columns, a
-        list/tuple holds them as 1-D vectors."""
-        if isinstance(vectors, np.ndarray):
-            M = vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors
-        else:
-            M = np.array(vectors, dtype=complex).T
+        """Orthonormalize the columns of an array; a 1-D array is one
+        vector."""
+        M = vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors
         q, r = np.linalg.qr(M.astype(complex))
         keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.abs(r).max()))
         q = q[:, : len(keep)][:, keep]
@@ -259,7 +256,8 @@ def _rational_eigenvalues(A0):
 def _generalized_projection_exact(N):
     """Exact projection onto the generalized eigenspace of a rational
     eigenvalue lam along the complementary invariant subspace, from the
-    exact shift N = A0 - lam I."""
+    exact shift N = A0 - lam I, with the algebraic multiplicity s of
+    lam (0 when lam is not an eigenvalue)."""
     n = len(N)
     Npow = mat_pow(N, n)
     K = nullspace(Npow)
@@ -268,12 +266,8 @@ def _generalized_projection_exact(N):
     # pivot columns of N^n give independent columns
     R = [[Npow[i][j] for i in range(n)] for j in pivots]
     C = transpose([list(v) for v in K] + R)
-    Cinv = inverse(C)
     s = len(K)
-    D = zero_matrix(n, n)
-    for i in range(s):
-        D[i][i] = Fraction(1)
-    return mat_mul(C, mat_mul(D, Cinv)), s
+    return mat_mul([row[:s] for row in C], inverse(C)[:s]), s
 
 
 def exact_jordan_blocks(A0, lam):
@@ -330,22 +324,17 @@ def _exact_shift(fam, lam):
     return mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam.real)))
 
 
-def _multiplicity_at(fam, lam):
-    """Algebraic multiplicity of lam in A(0) (exact when rational)."""
-    N = _exact_shift(fam, lam)
-    if N is not None:
-        return len(N) - rank(mat_pow(N, len(N)))
-    w = np.linalg.eigvals(fam(0.0))
-    return int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
-
-
 # -- total projections -------------------------------------------------
 
 
-def _cluster_radius(A, lam, m):
-    """Contour radius around lam separating the m nearest eigenvalues
-    from the rest; raises ClusterAmbiguous when the gap closes."""
-    dists = sorted(np.abs(np.linalg.eigvals(A) - lam))
+def _cluster_radius(spectrum, lam, m):
+    """Contour radius about lam for the cluster of the m eigenvalues in
+    `spectrum` nearest to lam: halfway between the cluster's farthest
+    member and the nearest eigenvalue outside it, or 1 beyond the
+    cluster when it is the whole spectrum.  Raises ClusterAmbiguous
+    when that outside eigenvalue is nearer than twice the farthest
+    member's distance plus 1e-14; m = 0 always raises."""
+    dists = sorted(np.abs(spectrum - lam))
     inner = dists[m - 1]
     if m == len(dists):
         return float(inner) + 1.0
@@ -376,20 +365,22 @@ def total_projection_limit_check(fam, lam, ray=None):
     along the ray: boundedness and convergence to the exact
     generalized eigenprojection of A(0)."""
     ray = list(ray) if ray is not None else default_ray()
-    m = _multiplicity_at(fam, lam)
-    if m == 0:
-        raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
     N = _exact_shift(fam, lam)
     if N is not None:
-        Pexact, s = _generalized_projection_exact(N)
-        limit = np.array([[float(x) for x in row] for row in Pexact], dtype=complex)
+        limit, m = _generalized_projection_exact(N)
+        limit = to_numpy(limit)
     else:
         A0 = fam(0.0)
-        limit = eigenprojection(A0, lam, _cluster_radius(A0, lam, m)).matrix
+        w = np.linalg.eigvals(A0)
+        m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
+    if m == 0:
+        raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
+    if N is None:
+        limit = eigenprojection(A0, lam, _cluster_radius(w, lam, m)).matrix
     norms, errors = [], []
     for x in ray:
         A = fam(x)
-        P = eigenprojection(A, lam, _cluster_radius(A, lam, m)).matrix
+        P = eigenprojection(A, lam, _cluster_radius(np.linalg.eigvals(A), lam, m)).matrix
         norms.append(float(np.linalg.norm(P, 2)))
         errors.append(float(np.linalg.norm(P - limit, 2)))
     bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
@@ -403,18 +394,27 @@ def total_projection_limit_check(fam, lam, ray=None):
 
 
 def _check_semisimple(fam, lam):
+    """(m, E): the geometric multiplicity m of lam in A(0) and an array
+    E whose columns span the eigenspace.  Both are exact (E is the
+    exact kernel of A(0) - lam, converted) when A(0) and lam are real;
+    otherwise m comes from numeric ranks at tolerance 1e-8 and E from
+    the eigenvectors of A(0) with eigenvalue within 1e-8 of lam.
+    Raises NotSemisimple when rank (A(0) - lam) > rank (A(0) - lam)^2,
+    that is, when lam carries a nontrivial Jordan block."""
     N = _exact_shift(fam, lam)
     if N is not None:
-        if rank(N) != rank(mat_mul(N, N)):
+        K = nullspace(N)
+        if len(N) - len(K) != rank(mat_mul(N, N)):
             raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-        return len(N) - rank(N)
+        return len(K), to_numpy(K).T
     A0 = fam(0.0)
     N = A0 - lam * np.eye(A0.shape[0])
     r1 = np.linalg.matrix_rank(N, tol=1e-8)
     r2 = np.linalg.matrix_rank(N @ N, tol=1e-8)
     if r1 != r2:
         raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-    return A0.shape[0] - r1
+    w0, v0 = np.linalg.eig(A0)
+    return A0.shape[0] - r1, v0[:, np.abs(w0 - lam) < 1e-8]
 
 
 def derivative_spectrum(fam, lam, ray=None):
@@ -422,11 +422,11 @@ def derivative_spectrum(fam, lam, ray=None):
     semisimple eigenvalue, via the reduced family
     (A(x) - lam) P_tot(x) / x, Richardson-extrapolated to 0."""
     ray = list(ray) if ray is not None else default_ray()
-    m = _check_semisimple(fam, lam)
+    m, _ = _check_semisimple(fam, lam)
     samples = []
     for x in ray:
         A = fam(x)
-        P = eigenprojection(A, lam, _cluster_radius(A, lam, m)).matrix
+        P = eigenprojection(A, lam, _cluster_radius(np.linalg.eigvals(A), lam, m)).matrix
         u, s, _ = np.linalg.svd(P)
         Q = u[:, :m]
         B = Q.conj().T @ ((A - lam * np.eye(A.shape[0])) / x) @ Q
@@ -456,7 +456,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     """Individual eigenprojections stay bounded and the eigenlines are
     Cauchy, with limits spanning the exact eigenspace of A(0)."""
     ray = list(ray) if ray is not None else default_ray()
-    m = _check_semisimple(fam, lam)
+    m, eigenspace = _check_semisimple(fam, lam)
     ders = derivative_spectrum(fam, lam, ray)
     scale = max([abs(v) for v in ders] + [1.0])
     for i in range(len(ders)):
@@ -477,14 +477,10 @@ def semisimple_convergence_check(fam, lam, ray=None):
             matches = match_nearest(prev_members, [w[i] for i in members])
             members = [members[j] for j, _, _ in matches]
         prev_members = [w[i] for i in members]
-        spectrum = w
         for j, i in enumerate(members):
-            others = np.delete(spectrum, i)
-            radius = float(np.min(np.abs(others - w[i]))) / 2 if len(others) else 1.0
-            P = eigenprojection(A, w[i], radius).matrix
+            P = eigenprojection(A, w[i], _cluster_radius(w, w[i], 1)).matrix
             norms[j].append(float(np.linalg.norm(P, 2)))
-            vec = v[:, i] / np.linalg.norm(v[:, i])
-            lines[j].append(Subspace.from_vectors(vec.reshape(-1, 1)))
+            lines[j].append(Subspace.from_vectors(v[:, i] / np.linalg.norm(v[:, i])))
 
     norms_bounded = all(max(ns) <= 2.0 * ns[-1] + 1e-6 for ns in norms.values())
     cauchy = True
@@ -501,19 +497,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
         [lines[j][-1].orthonormal_basis[:, 0] for j in range(m)]
     )
     span = Subspace.from_vectors(limits)
-    N = _exact_shift(fam, lam)
-    if N is not None:
-        K = nullspace(N)
-        exact = Subspace.from_vectors(
-            np.array([[float(x) for x in vec] for vec in K], dtype=complex).T
-        )
-    else:
-        A0 = fam(0.0)
-        _, v0 = np.linalg.eig(A0)
-        w0 = np.linalg.eigvals(A0)
-        cols = v0[:, np.abs(w0 - lam) < 1e-8]
-        exact = Subspace.from_vectors(cols)
-    limit_distance = subspace_distance(span, exact)
+    limit_distance = subspace_distance(span, Subspace.from_vectors(eigenspace))
     return SemisimpleReport(ders, norms_bounded, cauchy, limit_distance)
 
 
@@ -623,21 +607,18 @@ def gevec_convergence(fam, ray=None):
             tracks[t].append(pairs[best][1])
             lams[t].append(pairs[best][0])
 
-    # cluster by line limits at the smallest ray point
+    # cluster by line limits at the smallest ray point.  The line
+    # distance is a metric, so two lines within 1e-4 of a third are
+    # within 2e-4 of each other: below 1e-4 or in the band that raises.
+    # Past the checks every cluster is a clique, and labelling each line
+    # with its last earlier neighbour names the cluster's first member.
     final = [track[-1] for track in tracks]
-    parent = list(range(count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    label = list(range(count))
     for i in range(count):
         for j in range(i + 1, count):
             d = _line_distance(final[i], final[j])
             if d < 1e-4:
-                parent[find(i)] = find(j)
+                label[j] = label[i]
             elif d < 1e-3:
                 raise ClusteringAmbiguous(
                     f"line distance {d:.3e} in the ambiguity band"
@@ -645,7 +626,7 @@ def gevec_convergence(fam, ray=None):
 
     clusters = {}
     for i in range(count):
-        clusters.setdefault(find(i), []).append(i)
+        clusters.setdefault(label[i], []).append(i)
 
     # exact Jordan blocks of A(0)
     A0r = fam.constant_term_rational()
@@ -656,23 +637,18 @@ def gevec_convergence(fam, ray=None):
         raise ValueError("exact block data needs rational eigenvalues at 0")
     blocks = []
     for lam, _mult in rational:
-        for evec, chain in exact_jordan_blocks(A0r, lam):
-            evec_np = np.array([float(c) for c in evec], dtype=complex)
-            span_np = np.array(
-                [[float(c) for c in vec] for vec in chain], dtype=complex
-            ).T
+        for _, chain in exact_jordan_blocks(A0r, lam):
+            # the chain starts with the eigenvector
+            span = to_numpy(chain).T
             blocks.append(
-                (
-                    Subspace.from_vectors(evec_np.reshape(-1, 1)),
-                    Subspace.from_vectors(span_np),
-                )
+                (Subspace.from_vectors(span[:, 0]), Subspace.from_vectors(span))
             )
 
     out = []
     used_blocks = set()
     for members in clusters.values():
         # limit line of the cluster
-        limit_line = Subspace.from_vectors(final[members[0]].reshape(-1, 1))
+        limit_line = Subspace.from_vectors(final[members[0]])
         usable = [
             b
             for b in range(len(blocks))

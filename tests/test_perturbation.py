@@ -181,6 +181,24 @@ def test_semisimple_convergence():
     assert rep.ok and rep.limit_distance <= 1e-6
 
 
+def test_complex_constant_term_takes_the_numeric_branches():
+    # A(0) = diag(i, i, 2) is not real, so no exact shift exists
+    fam = MatrixFamily.make(
+        [[(1j,), (0, 1), (0, 1)], [(0, 1), (1j,), (0,)], [(0,), (0, 1), (2,)]]
+    )
+    assert total_projection_limit_check(fam, 1j).ok
+    rep = semisimple_convergence_check(fam, 1j)
+    assert rep.ok
+    for ders in (derivative_spectrum(fam, 1j), rep.derivatives):
+        assert sorted(ders, key=lambda v: v.real) == [
+            pytest.approx(-1, abs=1e-9),
+            pytest.approx(1, abs=1e-9),
+        ]
+    jordan = MatrixFamily.make([[(1j,), (1,)], [(0,), (1j, 1)]])
+    with pytest.raises(NotSemisimple):
+        semisimple_convergence_check(jordan, 1j)
+
+
 def test_subspace_distance_metric():
     e1 = Subspace.from_vectors(np.array([1.0, 0.0, 0.0]))
     e2 = Subspace.from_vectors(np.array([0.0, 1.0, 0.0]))

@@ -218,6 +218,19 @@ def test_mirror_mismatch_raises(p2):
     J_wrong = jacobian_ring(build_superpotential(Q))
     with pytest.raises(MirrorMismatch):
         mirror_check(fan, P, A, J_wrong)
+    # nor can the Jacobian ring of a space of another dimension
+    _, L = projective_space(1)
+    with pytest.raises(MirrorMismatch, match="derivative match"):
+        mirror_check(fan, P, A, jacobian_ring(build_superpotential(L)))
+
+
+def test_mirror_derivative_match_sees_coefficients(p2):
+    fan, P = p2
+    _, A = qh_presentation(fan, P)
+    # the linear relations map to z_j dW/dz_j only for unit coefficients
+    J = jacobian_ring(build_superpotential(P), coefficients=[1, 2, 1])
+    with pytest.raises(MirrorMismatch, match="derivative match"):
+        mirror_check(fan, P, A, J)
 
 
 def test_mirror_eigenvalue_match_is_exact(p2):
