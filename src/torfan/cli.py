@@ -36,7 +36,6 @@ from .polytope import (
 )
 from .quantum_algebra import (
     eigen_family_check,
-    omega_class,
     omega_operator,
     qh_presentation,
     sh_presentation,
@@ -292,9 +291,15 @@ def _cmd_qh(fan, P, options, args, spec=None):
     return out
 
 
+def _divisor_product(A):
+    """x_1⋯x_r, the product of the toric divisor classes: SH is QH
+    localized at it."""
+    return A.ring.monomial((1,) * A.ring.nvars)
+
+
 def _cmd_sh(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
-    SH = sh_presentation(A, [omega_class(A, P)])
+    SH = sh_presentation(A, [_divisor_product(A)])
     M = omega_operator(SH, P)
     chi, mu = char_min_poly(M)
     return {
@@ -309,9 +314,7 @@ def _cmd_sh(fan, P, options, args, spec=None):
 
 def _cmd_mirror(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
-    sh_algebra = None
-    if spec is not None:
-        sh_algebra = sh_presentation(A, [omega_class(A, P)])
+    sh_algebra = sh_presentation(A, [_divisor_product(A)])
     W = build_superpotential(P)
     J = jacobian_ring(W)
     report = mirror_check(fan, P, A, J, sh_algebra=sh_algebra)
@@ -322,7 +325,7 @@ def _cmd_mirror(fan, P, options, args, spec=None):
         "eigenvalue_match": report.eigenvalue_match,
         "worst_eigen_residual": report.worst_eigen_residual,
         "jacobian_dimension": J.dimension,
-        "quantum_dimension": (sh_algebra or A).dimension,
+        "quantum_dimension": sh_algebra.dimension,
         "ok": report.ok,
     }
 

@@ -25,10 +25,6 @@ class NoConeContains(TorfanError):
     """A lattice vector lies in no cone of the fan."""
 
 
-class RelationFails(TorfanError):
-    """Supplied coefficients do not satisfy the claimed edge relation."""
-
-
 class EmptyPolytope(TorfanError):
     """The half-space system has no solution."""
 

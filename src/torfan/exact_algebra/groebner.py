@@ -190,17 +190,6 @@ class QuotientAlgebra:
     def __repr__(self):
         return f"QuotientAlgebra(dim={self.dimension})"
 
-    def coordinates(self, f):
-        """Coordinate vector of the class of f in the standard basis."""
-        if self.groebner is None:
-            raise ValueError("algebra has no polynomial presentation")
-        nf = normal_form(f, self.groebner)
-        index = {m: i for i, m in enumerate(self.basis)}
-        vec = [Fraction(0)] * self.dimension
-        for m, c in nf.terms.items():
-            vec[index[m]] = c
-        return vec
-
     def operator(self, f):
         """Matrix of multiplication by the polynomial f."""
         from .linalg import mat_add, mat_scale, mat_mul, identity, zero_matrix

@@ -1,10 +1,13 @@
 """Exact rational linear algebra plus the numeric eigensolver.
 
 Rational matrices are row-major lists of lists of Fraction (or int).
-Exact routines (rref, rank, solve, kernels, characteristic/minimal
-polynomial, Jordan profiles, localization) never approximate; rank,
-charpoly, minpoly and jordan_profile clear their input to integers once
-and run on Python ints.  The numeric entry point is
+Exact routines never approximate, and all of them eliminate with one
+engine: the fraction-free Bareiss echelon ``_bareiss`` of an integer
+matrix.  rank reads its length, ``_int_det`` its last pivot, and rref
+back-substitutes over it; solve, nullspace, inverse, localize and the
+basis completions of :mod:`torfan.perturbation` read rref and its
+pivots.  charpoly, minpoly and jordan_profile clear their input to
+integers once and run on Python ints.  The numeric entry point is
 :func:`complex_eigen`, whose results are residual-checked, and its
 spectra are ordered by :func:`modulus_key` and paired across samples by
 :func:`match_nearest`.
@@ -93,41 +96,114 @@ def to_numpy(A, dtype=complex):
 
 
 # -- elimination -------------------------------------------------------
+#
+# rank and rref clear each row to integers by the lcm of its own
+# denominators; charpoly, minpoly and jordan_profile clear the whole
+# matrix once by _clear, giving an integer B and a common denominator d
+# with M = B / d.
 
 
-def rref(A):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    M = [row[:] for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c]), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = _ONE / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, pivots
+def _clear(M):
+    """(B, d): an integer matrix B and a positive integer d with M = B / d."""
+    d = lcm(*{x.denominator for row in M for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in M], d
 
 
-def rank(A):
-    """Rank by fraction-free elimination; each row is first cleared to
-    integers by the lcm of its own denominators."""
+def _clear_rows(A):
+    """A with each row scaled to integers by the lcm of its denominators;
+    the row space is unchanged."""
     rows = []
     for row in A:
         m = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (m // x.denominator) for x in row])
-    return _int_rank(rows)
+    return rows
+
+
+def _bareiss(A):
+    """Fraction-free forward elimination of an integer matrix (Bareiss,
+    1968): every division by the previous pivot is exact.
+
+    Returns the echelon rows, each (pivot column, pivot, entries right
+    of the pivot), and the sign of the order in which their rows were
+    taken.  The k-th pivot is the minor on the first k pivot rows and
+    columns, so for a nonsingular square matrix the sign times the last
+    pivot is the determinant."""
+    rows = [row for row in A if any(row)]
+    echelon, sign, prev, offset = [], 1, 1, 0
+    while rows:
+        # leftmost nonzero column; the entries left of it are all zero
+        c = 0
+        while not any(row[c] for row in rows):
+            c += 1
+        i = next(i for i, row in enumerate(rows) if row[c])
+        if i % 2:
+            sign = -sign
+        top = rows.pop(i)
+        p, tail = top[c], top[c + 1:]
+        rows = [
+            [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1:], tail)]
+            for row in rows
+        ]
+        rows = [row for row in rows if any(row)]
+        echelon.append((offset + c, p, tail))
+        prev, offset = p, offset + c + 1
+    return echelon, sign
+
+
+def _int_rank(A):
+    """Rank of an integer matrix."""
+    return len(_bareiss(A)[0])
+
+
+def _int_det(A):
+    """Determinant of a square integer matrix."""
+    echelon, sign = _bareiss(A)
+    if len(echelon) < len(A):
+        return 0
+    return sign * echelon[-1][1] if echelon else 1
+
+
+def rank(A):
+    """Rank of a rational matrix, from the echelon of its cleared rows."""
+    return _int_rank(_clear_rows(A))
+
+
+def rref(A):
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Back substitution over the Bareiss echelon of the row-cleared
+    matrix, in integers: with d the last pivot, d times each reduced
+    row is integral (its entries are minors over the pivot minor)."""
+    cols = len(A[0]) if A else 0
+    echelon, _ = _bareiss(_clear_rows(A))
+    d = echelon[-1][1] if echelon else 1
+    reduced = []  # (pivot column, d times the reduced row), bottom-up
+    for c, p, tail in reversed(echelon):
+        row = [0] * c + [p] + tail
+        v = [d * x for x in row]
+        for c2, w in reduced:
+            x = row[c2]
+            if x:
+                v = [a - x * b for a, b in zip(v, w)]
+        reduced.append((c, [a // p for a in v]))
+    M = [[Fraction(x, d) if x else _ZERO for x in w] for _, w in reversed(reduced)]
+    M += [[_ZERO] * cols for _ in range(len(A) - len(M))]
+    return M, [c for c, _, _ in echelon]
+
+
+def _kernel(M, pivots, cols):
+    """Right-kernel basis read from a reduced row echelon form: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -M[r][fc]
+        basis.append(v)
+    return basis
 
 
 def solve(A, b):
@@ -136,10 +212,8 @@ def solve(A, b):
     Free variables are set to zero; raises Inconsistent when no
     solution exists.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [A[i][:] + [b[i]] for i in range(rows)]
-    M, pivots = rref(aug)
+    cols = len(A[0]) if A else 0
+    M, pivots = rref([A[i] + [b[i]] for i in range(len(A))])
     if cols in pivots:
         raise Inconsistent("system has no solution")
     x = [_ZERO] * cols
@@ -150,42 +224,15 @@ def solve(A, b):
 
 def nullspace(A):
     """Basis of the right kernel as a list of column vectors."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return [[_ONE if i == j else _ZERO for i in range(cols)] for j in range(cols)]
-    M, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel(*rref(A), len(A[0]) if A else 0)
 
 
 def inverse(A):
     n = len(A)
-    aug = [A[i][:] + identity(n)[i] for i in range(n)]
-    M, pivots = rref(aug)
+    M, pivots = rref([row + e for row, e in zip(A, identity(n))])
     if pivots != list(range(n)):
         raise Inconsistent("matrix is singular")
     return [row[n:] for row in M]
-
-
-# -- integer core ------------------------------------------------------
-#
-# charpoly, minpoly, jordan_profile and rank clear their input once to
-# integers and then work on Python ints; B is the cleared matrix and d
-# its common denominator, M = B / d.
-
-
-def _clear(M):
-    """(B, d): an integer matrix B and a positive integer d with M = B / d."""
-    d = lcm(*{x.denominator for row in M for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in M], d
 
 
 def _int_mul(A, B):
@@ -199,47 +246,6 @@ def _int_mul(A, B):
                 Oi = [o + a * b for o, b in zip(Oi, Bk)]
         out.append(Oi)
     return out
-
-
-def _bareiss(A):
-    """Fraction-free elimination of an integer matrix (Bareiss, 1968):
-    every division by the previous pivot is exact.  Returns the pivots
-    and the sign of the order in which their rows were taken; for a
-    nonsingular square matrix that sign times the last pivot is the
-    determinant."""
-    rows = [row for row in A if any(row)]
-    pivots, sign = [], 1
-    while rows:
-        # leftmost nonzero column; the entries left of it are all zero
-        c = 0
-        while not any(row[c] for row in rows):
-            c += 1
-        i = next(i for i, row in enumerate(rows) if row[c])
-        if i % 2:
-            sign = -sign
-        top = rows.pop(i)
-        p, tail = top[c], top[c + 1:]
-        prev = pivots[-1] if pivots else 1
-        rows = [
-            [(p * x - row[c] * y) // prev for x, y in zip(row[c + 1:], tail)]
-            for row in rows
-        ]
-        rows = [row for row in rows if any(row)]
-        pivots.append(p)
-    return pivots, sign
-
-
-def _int_rank(A):
-    """Rank of an integer matrix."""
-    return len(_bareiss(A)[0])
-
-
-def _int_det(A):
-    """Determinant of a square integer matrix."""
-    pivots, sign = _bareiss(A)
-    if len(pivots) < len(A):
-        return 0
-    return sign * pivots[-1] if pivots else 1
 
 
 def _poly_from_coeffs(coeffs):
@@ -401,25 +407,22 @@ def localize(A, f):
     n = A.dimension
     if n == 0:
         return A
-    F = A.operator(f)
-    K = nullspace(mat_pow(F, n))
+    R, pivots = rref(mat_pow(A.operator(f), n))
+    K = _kernel(R, pivots, n)
     s = len(K)
     if s == 0:
         return A
     if s == n:
         return QuotientAlgebra(A.ring, [], {name: [] for name in A.ring.names}, None)
-    # complete the kernel to a basis with standard coordinate vectors
-    cols = [list(v) for v in K]
-    probe = transpose(cols + [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)])
-    _, pivots = rref(probe)
-    chosen = [c - s for c in pivots if c >= s]
-    C = transpose(cols + [[_ONE if i == j else _ZERO for i in range(n)] for j in chosen])
+    # complete the kernel with the unit vectors at the pivot columns of
+    # F^n: each kernel vector is 1 at its free column and 0 at the others
+    C = transpose(K + [[_ONE if i == j else _ZERO for i in range(n)] for j in pivots])
     Cinv = inverse(C)
     mult = {}
     for name, M in A.mult_matrices.items():
         Q = mat_mul(Cinv, mat_mul(M, C))
         mult[name] = [[Q[i][j] for j in range(s, n)] for i in range(s, n)]
-    basis = [A.basis[j] for j in chosen]
+    basis = [A.basis[j] for j in pivots]
     return QuotientAlgebra(A.ring, basis, mult, None)
 
 

@@ -1,5 +1,5 @@
 """Fans of smooth toric varieties: validation, primitive collections,
-decompositions of edge sums, and curve classes from edge relations.
+decompositions of edge sums, and the curve classes of primitive relations.
 
 A fan stores primitive integer edges and the index sets of its maximal
 cones (0-based); lower-dimensional cones are the subsets of those.
@@ -15,7 +15,6 @@ from .errors import (
     Inconsistent,
     NoConeContains,
     OverlappingCones,
-    RelationFails,
     ValidationError,
 )
 from .exact_algebra import rank, solve
@@ -29,7 +28,6 @@ __all__ = [
     "validate_fan",
     "primitive_collections",
     "batyrev_decompose",
-    "relation_class",
 ]
 
 
@@ -275,14 +273,3 @@ def batyrev_decompose(fan, I, lambdas=None):
         cls = CurveClass.make(intersections, lambdas)
         return PrimitiveRelation(I, tuple(J), tuple(c), cls)
     raise NoConeContains(f"edge sum of {sorted(I)} lies in no cone")
-
-
-def relation_class(fan, coefficients, lambdas):
-    """Curve class of an exact linear relation among the edges."""
-    coefficients = [int(x) for x in coefficients]
-    if len(coefficients) != len(fan.edges):
-        raise RelationFails("one coefficient per edge required")
-    for j in range(fan.rank):
-        if sum(n * fan.edges[i][j] for i, n in enumerate(coefficients)):
-            raise RelationFails("coefficients do not annihilate the edges")
-    return CurveClass.make(coefficients, lambdas)

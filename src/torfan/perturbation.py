@@ -36,6 +36,7 @@ from .exact_algebra import (
     to_numpy,
     transpose,
 )
+from .exact_algebra.linalg import _kernel
 
 __all__ = [
     "MatrixFamily",
@@ -260,12 +261,12 @@ def _generalized_projection_exact(N):
     lam (0 when lam is not an eigenvalue)."""
     n = len(N)
     Npow = mat_pow(N, n)
-    K = nullspace(Npow)
-    # column space of N^n spans the complementary invariant subspace
-    _, pivots = rref(Npow)
-    # pivot columns of N^n give independent columns
+    E, pivots = rref(Npow)
+    K = _kernel(E, pivots, n)
+    # the pivot columns of N^n span its column space, the complementary
+    # invariant subspace
     R = [[Npow[i][j] for i in range(n)] for j in pivots]
-    C = transpose([list(v) for v in K] + R)
+    C = transpose(K + R)
     s = len(K)
     return mat_mul([row[:s] for row in C], inverse(C)[:s]), s
 
@@ -301,17 +302,10 @@ def exact_jordan_blocks(A0, lam):
 
 
 def _complete_basis(span, candidates):
-    """Vectors from candidates extending the span, chosen greedily."""
-    rows = [list(v) for v in span]
-    r = rank(rows) if rows else 0
-    chosen = []
-    for v in candidates:
-        trial = rows + [list(v)]
-        if rank(trial) > r:
-            rows = trial
-            r += 1
-            chosen.append(list(v))
-    return chosen
+    """Vectors from candidates extending the span, chosen greedily: the
+    candidates at pivot columns of [span | candidates]."""
+    _, pivots = rref(transpose([list(v) for v in span] + [list(v) for v in candidates]))
+    return [list(candidates[c - len(span)]) for c in pivots if c >= len(span)]
 
 
 def _exact_shift(fam, lam):

@@ -15,8 +15,7 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
-from .exact_algebra import rank as mat_rank
-from .exact_algebra import solve
+from .exact_algebra import rref, solve
 
 __all__ = [
     "MomentPolytope",
@@ -78,14 +77,12 @@ def vertices(P):
     pts = []
     seen = set()
     for subset in combinations(range(len(P.edges)), n):
-        rows = [[Fraction(x) for x in P.edges[i]] for i in subset]
-        if mat_rank(rows) != n:
+        # the facets meet in one point when [edges | lambdas] has the
+        # pivots 0..n-1; the point is then its last column
+        M, pivots = rref([list(P.edges[i]) + [P.lambdas[i]] for i in subset])
+        if pivots != list(range(n)):
             continue
-        try:
-            y = solve(rows, [P.lambdas[i] for i in subset])
-        except Inconsistent:
-            continue
-        y = tuple(y)
+        y = tuple(row[n] for row in M)
         if y in seen or not _contains(P, y):
             continue
         seen.add(y)

@@ -7,7 +7,7 @@ generic separation of critical values under perturbation."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp
+from math import exp, gcd
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .exact_algebra import (
     quotient_algebra,
     to_numpy,
 )
+from .exact_algebra.linalg import _clear_rows
 from .lattice_fan import batyrev_decompose, primitive_collections
 from .polytope import barycentre
 from .quantum_algebra import c1_operator
@@ -374,10 +375,12 @@ def barycentre_landing_check(P, lam_X):
 def galkin_point(fan, tol=1e-10, max_iter=200):
     """Positive real critical point by damped Newton minimization of
     the edge-exponential sum; raises HalfSpaceFan (with a certificate
-    direction) when the fan sits in a closed half-space."""
+    direction, a primitive integer vector) when the fan sits in a
+    closed half-space."""
     cert = recession_ray([[-x for x in e] for e in fan.edges], fan.rank)
     if cert is not None:
-        raise HalfSpaceFan(tuple(cert))
+        ints = _clear_rows([cert])[0]
+        raise HalfSpaceFan(tuple(x // gcd(*ints) for x in ints))
     E = np.array(fan.edges, dtype=float)
     u = np.zeros(fan.rank)
     for _ in range(max_iter):

@@ -57,6 +57,7 @@ def test_domain_error_exit_code(capsys):
     # Galkin point of a non-compact fan: domain error, exit 1
     code, _, err = run(capsys, "galkin", "--input", example("p2_nlb.json"))
     assert code == 1 and "HalfSpaceFan" in err
+    assert err.rstrip().endswith("certificate (-1, 0, -1)")
 
 
 def test_success_exit_code_and_content(capsys):
@@ -165,6 +166,31 @@ def test_sh_of_affine_space_is_zero(capsys):
     assert results["dimension"] == 0
     assert results["kernel_dimension"] == 1
     assert results["omega_eigenvalues"] == []
+
+
+def test_sh_of_closed_manifold_is_qh(capsys):
+    # SH* is QH* localized at the toric divisors x_1⋯x_r; on closed
+    # P^1 x P^1 that product is invertible, although omega = c1 has a
+    # 2-dimensional 0-eigenspace
+    code, out, _ = run(
+        capsys, "sh", "--input", example("p1xp1.json"), "--format", "json"
+    )
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["dimension"] == results["qh_dimension"] == 4
+    assert results["kernel_dimension"] == 0
+    assert results["charpoly"] == "X^4 - 4*X^2"
+
+
+def test_mirror_of_affine_blowup_compares_sh(capsys):
+    # QH*(C^3) has dimension 1 and Jac(W) dimension 0; the mirror
+    # compares Jac(W) with SH* = 0, with or without a bundle field
+    code, out, _ = run(
+        capsys, "mirror", "--input", example("c3_blowup.json"), "--format", "json"
+    )
+    results = json.loads(out)["results"]
+    assert code == 0 and results["ok"] is True
+    assert results["jacobian_dimension"] == results["quantum_dimension"] == 0
 
 
 P2 = {

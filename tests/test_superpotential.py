@@ -4,7 +4,7 @@ mirror comparisons, and support-number perturbation."""
 import cmath
 import random
 from fractions import Fraction
-from math import exp
+from math import exp, gcd
 
 import numpy as np
 import pytest
@@ -266,7 +266,11 @@ def test_galkin_point(p2, p1xp1):
     fan_E, _, _ = nlb_from_k(fan, P, 1)
     with pytest.raises(HalfSpaceFan) as exc:
         galkin_point(fan_E)
-    assert exc.value.certificate is not None
+    # a primitive integer direction u with <e, u> <= 0 for every edge e
+    u = exc.value.certificate
+    assert all(type(x) is int for x in u) and gcd(*u) == 1
+    assert all(sum(a * b for a, b in zip(e, u)) <= 0 for e in fan_E.edges)
+    assert str(u) in str(exc.value)
 
 
 def test_perturb_and_separate(p1xp1):
