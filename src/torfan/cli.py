@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle_blowup import blowup_face, blowup_point, nlb_from_k
 from .errors import ClusterAmbiguous, ParseError, TorfanError, Unbounded, ValidationError
-from .exact_algebra import char_min_poly, complex_eigen, modulus_key, to_numpy
+from .exact_algebra import char_min_poly, complex_eigen, spectral_order, to_numpy
 from .lattice_fan import Fan, primitive_collections, validate_fan
 from .perturbation import (
     MatrixFamily,
@@ -283,7 +283,7 @@ def _cmd_qh(fan, P, options, args, spec=None):
         "relations": relations,
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": sorted(complex_eigen(to_numpy(M))[0], key=modulus_key),
+        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
     }
     if pres.lam_X:
         fam = eigen_family_check(chi, pres.lam_X)
@@ -308,7 +308,7 @@ def _cmd_sh(fan, P, options, args, spec=None):
         "kernel_dimension": A.dimension - SH.dimension,
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": sorted(complex_eigen(to_numpy(M))[0], key=modulus_key),
+        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
     }
 
 
@@ -343,7 +343,7 @@ def _cmd_critical(fan, P, options, args, spec=None):
                 "hessian_rank": p.hessian_rank,
                 "nondegenerate": p.nondegenerate,
             }
-            for p in sorted(points, key=lambda p: modulus_key(p.value))
+            for p in spectral_order(points, key=lambda p: p.value)
         ],
     }
 
@@ -400,7 +400,7 @@ def _cmd_separate(fan, P, options, args, spec=None):
         "min_gap": report.min_gap,
         "min_abs_value": report.min_abs_value,
         "jacobian_dimension": report.jac_dimension,
-        "critical_values": sorted(report.values, key=modulus_key),
+        "critical_values": spectral_order(report.values),
         "ok": report.ok,
     }
 
@@ -417,7 +417,7 @@ def _pole_exponent(fam, path):
             radius = _cluster_radius(w, lam, int(np.sum(np.abs(w - lam) <= 1e-12)))
         except ClusterAmbiguous:
             return None
-        P = eigenprojection(A, lam, radius)
+        P = eigenprojection(A, lam, radius, spectrum=w)
         xs.append(np.log(x))
         norms.append(np.log(np.linalg.norm(P.matrix, 2)))
     return float(np.polyfit(xs, norms, 1)[0])

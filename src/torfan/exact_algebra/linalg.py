@@ -9,13 +9,13 @@ basis completions of :mod:`torfan.perturbation` read rref and its
 pivots.  charpoly, minpoly and jordan_profile clear their input to
 integers once and run on Python ints.  The numeric entry point is
 :func:`complex_eigen`, whose results are residual-checked, and its
-spectra are ordered by :func:`modulus_key` and paired across samples by
-:func:`match_nearest`.
+spectra are ordered by :func:`spectral_order` and paired across samples
+by :func:`match_nearest`.
 """
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import atan2, gcd, lcm, tau
 
 import numpy as np
 
@@ -451,9 +451,32 @@ def complex_eigen(M, tol=1e-10):
     return list(w), v
 
 
-def modulus_key(z):
-    """Ascending sort key for complex values: modulus, then argument."""
-    return (abs(z), np.angle(z))
+SPECTRAL_RTOL = 1e-9
+
+
+def _argument(z):
+    """Argument of z in [0, 2 pi); one within SPECTRAL_RTOL of 2 pi is 0."""
+    a = atan2(z.imag, z.real) % tau
+    return 0.0 if a >= tau * (1 - SPECTRAL_RTOL) else a
+
+
+def spectral_order(items, key=None):
+    """The items sorted by their complex values key(item) (the items
+    themselves by default): by ascending modulus, where a modulus within
+    a relative SPECTRAL_RTOL of the next smaller one counts as equal to
+    it, then by ascending argument.  So values of one modulus, such as a
+    root-of-unity family or -2 - 0j and -2 + 0j, are ordered by argument
+    and not by the last bits of their moduli."""
+    items = list(items)
+    values = [complex(key(t) if key else t) for t in items]
+    moduli = [abs(z) for z in values]
+    level, group, previous = {}, 0, None
+    for i in sorted(range(len(items)), key=moduli.__getitem__):
+        if previous is not None and moduli[i] - previous > SPECTRAL_RTOL * moduli[i]:
+            group += 1
+        level[i], previous = group, moduli[i]
+    order = sorted(range(len(items)), key=lambda i: (level[i], _argument(values[i])))
+    return [items[i] for i in order]
 
 
 def match_nearest(items, candidates, dist=lambda a, b: abs(a - b)):

@@ -29,10 +29,10 @@ from .exact_algebra import (
     mat_sub,
     mat_vec,
     match_nearest,
-    modulus_key,
     nullspace,
     rank,
     rref,
+    spectral_order,
     to_numpy,
     transpose,
 )
@@ -161,7 +161,7 @@ def subspace_distance(U, V):
 # -- contour projections ----------------------------------------------
 
 
-def eigenprojection(A, lam, radius, nodes=CONTOUR_NODES):
+def eigenprojection(A, lam, radius, nodes=CONTOUR_NODES, spectrum=None):
     """(1/2 pi i) times the contour integral of the resolvent around a
     circle about lam, by trapezoid quadrature with nested doubling.
 
@@ -172,10 +172,11 @@ def eigenprojection(A, lam, radius, nodes=CONTOUR_NODES):
     `nodes` (the largest 16 * 2^k not above it), where P is the plain
     trapezoid sum over those nodes.  Every evaluated node is checked
     against the spectrum, and the result must be idempotent to 1e-8 in
-    the 2-norm."""
+    the 2-norm.  A caller that already holds the eigenvalues of A hands
+    them in as `spectrum`; otherwise they are computed here."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    spectrum = np.linalg.eigvals(A)
+    spectrum = np.linalg.eigvals(A) if spectrum is None else np.asarray(spectrum)
     stack = np.empty((_STACK, n, n), dtype=complex)
     diag = np.arange(n)
     total = np.zeros((n, n), dtype=complex)  # sum of weight * resolvent
@@ -323,11 +324,14 @@ def _exact_shift(fam, lam):
 
 def _cluster_radius(spectrum, lam, m):
     """Contour radius about lam for the cluster of the m eigenvalues in
-    `spectrum` nearest to lam: halfway between the cluster's farthest
-    member and the nearest eigenvalue outside it, or 1 beyond the
-    cluster when it is the whole spectrum.  Raises ClusterAmbiguous
-    when that outside eigenvalue is nearer than twice the farthest
-    member's distance plus 1e-14; m = 0 always raises."""
+    `spectrum` nearest to lam: the geometric mean sqrt(inner * outer) of
+    the cluster's farthest member's distance `inner` and the nearest
+    outside eigenvalue's distance `outer`, with inner floored at
+    1e-3 * outer (an exact cluster has inner = 0), or 1 beyond the
+    cluster when it is the whole spectrum.  The trapezoid error on a
+    circle of radius rho falls like (inner / rho)^N + (rho / outer)^N,
+    which the geometric mean minimises.  Raises ClusterAmbiguous when
+    outer < 2 * inner + 1e-14; m = 0 always raises."""
     dists = sorted(np.abs(spectrum - lam))
     inner = dists[m - 1]
     if m == len(dists):
@@ -337,7 +341,7 @@ def _cluster_radius(spectrum, lam, m):
         raise ClusterAmbiguous(
             f"gap between cluster ({inner:.3e}) and rest ({outer:.3e}) closed"
         )
-    return float(inner + outer) / 2
+    return float(np.sqrt(max(inner, 1e-3 * outer) * outer))
 
 
 @dataclass
@@ -370,11 +374,12 @@ def total_projection_limit_check(fam, lam, ray=None):
     if m == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
     if N is None:
-        limit = eigenprojection(A0, lam, _cluster_radius(w, lam, m)).matrix
+        limit = eigenprojection(A0, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
     norms, errors = [], []
     for x in ray:
         A = fam(x)
-        P = eigenprojection(A, lam, _cluster_radius(np.linalg.eigvals(A), lam, m)).matrix
+        w = np.linalg.eigvals(A)
+        P = eigenprojection(A, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
         norms.append(float(np.linalg.norm(P, 2)))
         errors.append(float(np.linalg.norm(P - limit, 2)))
     bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
@@ -417,18 +422,25 @@ def derivative_spectrum(fam, lam, ray=None):
     (A(x) - lam) P_tot(x) / x, Richardson-extrapolated to 0."""
     ray = list(ray) if ray is not None else default_ray()
     m, _ = _check_semisimple(fam, lam)
+    return _derivative_spectrum(fam, lam, ray, m)
+
+
+def _derivative_spectrum(fam, lam, ray, m):
+    """derivative_spectrum for a lam already checked semisimple, with
+    geometric multiplicity m."""
     samples = []
     for x in ray:
         A = fam(x)
-        P = eigenprojection(A, lam, _cluster_radius(np.linalg.eigvals(A), lam, m)).matrix
+        w = np.linalg.eigvals(A)
+        P = eigenprojection(A, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
         u, s, _ = np.linalg.svd(P)
         Q = u[:, :m]
         B = Q.conj().T @ ((A - lam * np.eye(A.shape[0])) / x) @ Q
-        samples.append(sorted(np.linalg.eigvals(B), key=modulus_key))
+        samples.append(spectral_order(np.linalg.eigvals(B)))
     # match the last two samples and extrapolate (ray halves each step)
     prev, last = samples[-2], samples[-1]
     out = [2 * v - prev[i] for v, (i, _, _) in zip(last, match_nearest(last, prev))]
-    return sorted(out, key=modulus_key)
+    return spectral_order(out)
 
 
 # -- semisimple eigenline convergence ---------------------------------
@@ -451,7 +463,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     Cauchy, with limits spanning the exact eigenspace of A(0)."""
     ray = list(ray) if ray is not None else default_ray()
     m, eigenspace = _check_semisimple(fam, lam)
-    ders = derivative_spectrum(fam, lam, ray)
+    ders = _derivative_spectrum(fam, lam, ray, m)
     scale = max([abs(v) for v in ders] + [1.0])
     for i in range(len(ders)):
         for j in range(i + 1, len(ders)):
@@ -465,14 +477,14 @@ def semisimple_convergence_check(fam, lam, ray=None):
         A = fam(x)
         w, v = np.linalg.eig(A)
         idx = np.argsort(np.abs(w - lam))[:m]
-        members = sorted(idx, key=lambda i: modulus_key(w[i]))
+        members = spectral_order(idx, key=lambda i: w[i])
         if prev_members is not None:
             # keep branch identity by nearest previous eigenvalue
             matches = match_nearest(prev_members, [w[i] for i in members])
             members = [members[j] for j, _, _ in matches]
         prev_members = [w[i] for i in members]
         for j, i in enumerate(members):
-            P = eigenprojection(A, w[i], _cluster_radius(w, w[i], 1)).matrix
+            P = eigenprojection(A, w[i], _cluster_radius(w, w[i], 1), spectrum=w).matrix
             norms[j].append(float(np.linalg.norm(P, 2)))
             lines[j].append(Subspace.from_vectors(v[:, i] / np.linalg.norm(v[:, i])))
 

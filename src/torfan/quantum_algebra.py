@@ -15,10 +15,10 @@ from .exact_algebra import (
     localize,
     mat_pow,
     match_nearest,
-    modulus_key,
     normal_form,
     nullspace,
     quotient_algebra,
+    spectral_order,
     to_numpy,
 )
 from .lattice_fan import batyrev_decompose, primitive_collections, validate_fan
@@ -226,7 +226,7 @@ def _cluster(values, rel_tol):
     """Greedy clustering of complex values; returns (center, count)."""
     scale = max([abs(v) for v in values] + [1.0])
     clusters = []
-    for v in sorted(values, key=modulus_key):
+    for v in spectral_order(values):
         for idx, (center, cnt) in enumerate(clusters):
             if abs(v - center) <= rel_tol * scale:
                 clusters[idx] = ((center * cnt + v) / (cnt + 1), cnt + 1)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -33,6 +34,7 @@ from torfan.exact_algebra import (
     rank,
     rref,
     solve,
+    spectral_order,
     to_numpy,
 )
 from torfan.superpotential import build_superpotential, jacobian_ring
@@ -338,6 +340,49 @@ def test_match_nearest_custom_distance():
     by_modulus = lambda a, b: abs(abs(a) - abs(b))
     assert match_nearest([-2j], [1, 2], dist=by_modulus) == [(1, 0, 1)]
     assert match_nearest([-2j], [1, 2]) == [(0, abs(-2j - 1), abs(-2j - 2))]
+
+
+def _ulp_neighbours(z):
+    """The values one ulp away from z in its real or imaginary part."""
+    out = []
+    for part in ("real", "imag"):
+        for to in (-np.inf, np.inf):
+            re, im = z.real, z.imag
+            if part == "real":
+                re = np.nextafter(re, to)
+            else:
+                im = np.nextafter(im, to)
+            out.append(complex(re, im))
+    return out
+
+
+def test_spectral_order_by_modulus_then_argument():
+    assert spectral_order([-2 - 0j, 1j, -2 + 0j, 2, -1]) == [1j, -1, 2, -2 - 0j, -2 + 0j]
+    # the order survives a change in the last bit of a modulus
+    assert spectral_order([1 + 1e-15, -1, 1j]) == [1 + 1e-15, 1j, -1]
+    assert spectral_order([1, -1 + 1e-15]) == [1, -1 + 1e-15]
+    # an argument just below 2 pi counts as 0
+    assert spectral_order([1j, 1 - 1e-300j, -1]) == [1 - 1e-300j, 1j, -1]
+    assert spectral_order([3, -2, 1], key=lambda v: -v) == [1, -2, 3]
+    assert spectral_order([]) == []
+
+
+def test_spectral_order_survives_one_ulp():
+    families = []
+    for n in (2, 3, 4, 5, 6, 8, 12):  # roots of unity, scaled and rotated
+        for r, phase in ((1.0, 0.0), (2.5, 0.0), (1e-3, 0.0), (3.0, np.pi / n)):
+            families.append([r * np.exp(1j * (phase + 2 * np.pi * k / n)) for k in range(n)])
+    for a in (1.0, 2.0, 0.75, 1e5):  # +-real pairs, with signed zero parts
+        families.append([complex(a, 0.0), complex(-a, 0.0), complex(-a, -0.0)])
+        families.append([complex(-a, -0.0), complex(a, -0.0), 0.5j * a, -0.5j * a])
+    rng = np.random.default_rng(20260)
+    for values in families:
+        values = [complex(v) for v in values]
+        indices = range(len(values))
+        want = spectral_order(indices, key=values.__getitem__)
+        for _ in range(20):
+            moved = [complex(rng.choice(_ulp_neighbours(v))) for v in values]
+            assert spectral_order(indices, key=moved.__getitem__) == want, values
 
 
 def test_rref_idempotent():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torfan import perturbation
 from torfan.errors import (
+    ClusterAmbiguous,
     ContourHitsSpectrum,
     DimensionMismatch,
     IdempotencyFailed,
@@ -14,6 +16,7 @@ from torfan.errors import (
 from torfan.perturbation import (
     MatrixFamily,
     Subspace,
+    _cluster_radius,
     default_ray,
     derivative_spectrum,
     eigenprojection,
@@ -93,6 +96,53 @@ def test_contour_hits_spectrum_on_a_midpoint_level():
     A = np.diag([0.0, np.exp(1j * np.pi / 16)])
     with pytest.raises(ContourHitsSpectrum):
         eigenprojection(A, 0.0, 1.0)
+
+
+def test_eigenprojection_takes_the_spectrum():
+    for A, lam, radius in _random_cases(20253):
+        own = eigenprojection(A, lam, radius)
+        given = eigenprojection(A, lam, radius, spectrum=np.linalg.eigvals(A))
+        assert np.array_equal(own.matrix, given.matrix)
+        assert (own.idempotency_defect, own.nodes, own.difference) == (
+            given.idempotency_defect, given.nodes, given.difference
+        )
+    # the node check reads the spectrum handed in: here it claims an
+    # eigenvalue on the 32-node level that A = diag(0, 2) does not have
+    A = np.diag([0.0, 2.0])
+    with pytest.raises(ContourHitsSpectrum, match="threshold 1e-12"):
+        eigenprojection(A, 0.0, 1.0, spectrum=np.array([0.0, np.exp(1j * np.pi / 16)]))
+
+
+def test_cluster_radius_rule():
+    w = np.array([0.0, 0.01, 0.04, 1.0])
+    # geometric mean of the cluster's reach and the gap
+    assert _cluster_radius(w, 0.0, 2) == pytest.approx(np.sqrt(0.01 * 0.04), rel=1e-15)
+    assert _cluster_radius(w, 0.0, 3) == pytest.approx(np.sqrt(0.04 * 1.0), rel=1e-15)
+    # an exact cluster reaches 0: the floor 1e-3 * outer takes its place
+    assert _cluster_radius(w, 0.0, 1) == pytest.approx(np.sqrt(1e-3) * 0.01, rel=1e-15)
+    assert _cluster_radius(np.array([5.0, 5.0, 7.0]), 5.0, 2) == pytest.approx(
+        np.sqrt(1e-3) * 2, rel=1e-15
+    )
+    # the whole spectrum: 1 beyond its farthest member
+    assert _cluster_radius(w, 0.0, 4) == 2.0
+    # ambiguous once outer < 2 inner + 1e-14, as before
+    assert _cluster_radius(np.array([0.0, 1.0, 2.0 + 1e-14]), 0.0, 2) > 1.0
+    for spectrum in ([0.0, 1.0, 2.0], [0.0, 1.0, 1.5], [1e-15, 1e-15 + 1e-15j]):
+        with pytest.raises(ClusterAmbiguous):
+            _cluster_radius(np.array(spectrum), 0.0, 1 if len(spectrum) == 2 else 2)
+    with pytest.raises(ClusterAmbiguous):
+        _cluster_radius(w, 0.0, 0)
+
+
+def test_semisimple_check_runs_once(monkeypatch):
+    fam = MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]])
+    calls = []
+    check = perturbation._check_semisimple
+    monkeypatch.setattr(
+        perturbation, "_check_semisimple", lambda *a: calls.append(a) or check(*a)
+    )
+    assert semisimple_convergence_check(fam, 0).ok
+    assert len(calls) == 1
 
 
 def _fixed_trapezoid(A, lam, radius, nodes=256):

@@ -18,7 +18,12 @@ from torfan.exact_algebra import (
     quotient_algebra,
     rank,
 )
-from torfan.perturbation import Subspace, eigenprojection, subspace_distance
+from torfan.perturbation import (
+    Subspace,
+    _cluster_radius,
+    eigenprojection,
+    subspace_distance,
+)
 
 CASES = 1000
 
@@ -96,8 +101,8 @@ def test_projectors_resolve_identity():
         if min(gaps) < 1e-2:
             continue  # resample near-degenerate spectra
         total = np.zeros((4, 4), dtype=complex)
-        for lam, gap in zip(w, gaps):
-            total += eigenprojection(A, lam, gap / 2, nodes=64).matrix
+        for lam in w:
+            total += eigenprojection(A, lam, _cluster_radius(w, lam, 1)).matrix
         assert np.linalg.norm(total - np.eye(4), 2) < 1e-6
         done += 1
 
