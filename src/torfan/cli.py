@@ -38,7 +38,7 @@ from .quantum_algebra import (
     eigen_family_check,
     omega_operator,
     qh_presentation,
-    sh_presentation,
+    symplectic_cohomology,
 )
 from .superpotential import (
     build_superpotential,
@@ -291,15 +291,9 @@ def _cmd_qh(fan, P, options, args, spec=None):
     return out
 
 
-def _divisor_product(A):
-    """x_1⋯x_r, the product of the toric divisor classes: SH is QH
-    localized at it."""
-    return A.ring.monomial((1,) * A.ring.nvars)
-
-
 def _cmd_sh(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
-    SH = sh_presentation(A, [_divisor_product(A)])
+    SH = symplectic_cohomology(A)
     M = omega_operator(SH, P)
     chi, mu = char_min_poly(M)
     return {
@@ -314,7 +308,7 @@ def _cmd_sh(fan, P, options, args, spec=None):
 
 def _cmd_mirror(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
-    sh_algebra = sh_presentation(A, [_divisor_product(A)])
+    sh_algebra = symplectic_cohomology(A)
     W = build_superpotential(P)
     J = jacobian_ring(W)
     report = mirror_check(fan, P, A, J, sh_algebra=sh_algebra)

@@ -175,7 +175,8 @@ class QuotientAlgebra:
     ``basis`` lists the standard monomials (or abstract labels for
     algebras obtained by localization); ``mult_matrices`` maps each ring
     variable name to the rational matrix of multiplication on the basis
-    (columns = images of basis elements).
+    (columns = images of basis elements); :func:`quotient_algebra` reads
+    them off the border of the reduced basis, with no polynomial reduction.
     """
 
     __slots__ = ("ring", "basis", "mult_matrices", "dimension", "groebner")
@@ -191,22 +192,43 @@ class QuotientAlgebra:
         return f"QuotientAlgebra(dim={self.dimension})"
 
     def operator(self, f):
-        """Matrix of multiplication by the polynomial f."""
-        from .linalg import mat_add, mat_scale, mat_mul, identity, zero_matrix
+        """Matrix of multiplication by the polynomial f; a monomial m with
+        first variable x_k is X_k times m / x_k, memoized within the call."""
+        from .linalg import mat_mul, zero_matrix
 
         n = self.dimension
+        X = [self.mult_matrices[name] for name in self.ring.names]
+        memo = {}
+
+        def monomial(m):
+            if m not in memo:
+                k = next(i for i, e in enumerate(m) if e)
+                rest = m[:k] + (m[k] - 1,) + m[k + 1 :]
+                memo[m] = mat_mul(X[k], monomial(rest)) if any(rest) else X[k]
+            return memo[m]
+
         out = zero_matrix(n, n)
         for m, c in f.terms.items():
-            term = identity(n)
-            for name, e in zip(self.ring.names, m):
-                for _ in range(e):
-                    term = mat_mul(self.mult_matrices[name], term)
-            out = mat_add(out, mat_scale(term, c))
+            if not any(m):
+                for i in range(n):
+                    out[i][i] += c
+                continue
+            for row, src in zip(out, monomial(m)):
+                for j, a in enumerate(src):
+                    if a:
+                        row[j] += c * a
         return out
 
 
 def quotient_algebra(G):
     """Standard monomials and multiplication matrices for a quotient.
+
+    G is reduced (as :func:`groebner_basis` returns).  The column of x_i
+    on s is NF(x_i·s), filled over the border monomials b = x_i·s in
+    increasing grevlex order: the negated tail of G's generator when b is
+    its leading monomial, else sum_j c_j NF(x_k s_j) over the terms c_j s_j
+    of NF(b / x_k), for an x_k with b / x_k non-standard, so an earlier
+    border monomial (Faugère, Gianni, Lazard and Mora 1993).
 
     Raises InfiniteDimensional unless, for every variable, some leading
     monomial of G is a pure power of that variable.
@@ -224,37 +246,47 @@ def quotient_algebra(G):
         # the ideal is the whole ring: zero algebra
         return QuotientAlgebra(ring, [], {name: [] for name in ring.names}, G)
 
-    # enumerate standard monomials breadth-first from 1
-    std = []
-    seen = set()
+    # standard monomials and the border, breadth-first from 1 (the
+    # queue grows while it is read)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    std, border = [], []
     queue = [(0,) * n]
-    while queue:
-        m = queue.pop()
-        if m in seen:
-            continue
-        seen.add(m)
+    seen = set(queue)
+    for m in queue:
         if any(mono_divides(lm, m) for lm in lms):
+            border.append(m)
             continue
         std.append(m)
-        for i in range(n):
-            up = list(m)
-            up[i] += 1
-            queue.append(tuple(up))
+        for u in units:
+            up = mono_mul(m, u)
+            if up not in seen:
+                seen.add(up)
+                queue.append(up)
     std.sort(key=grevlex_key)
-
+    border.sort(key=grevlex_key)
     index = {m: i for i, m in enumerate(std)}
+
+    # normal forms as sparse maps from standard monomials to coefficients
+    nf = {s: {s: Fraction(1)} for s in std}
+    for g in G:
+        lm = g.leading_monomial()
+        nf[lm] = {m: -c for m, c in g.terms.items() if m != lm}
+    for b in border:
+        if b in nf:
+            continue
+        k = next(k for k in range(n) if b[k] and mono_div(b, units[k]) not in index)
+        acc = {}
+        for s, c in nf[mono_div(b, units[k])].items():
+            for t, d in nf[mono_mul(s, units[k])].items():
+                acc[t] = acc.get(t, 0) + c * d
+        nf[b] = {t: v for t, v in acc.items() if v}
+
     dim = len(std)
     mult = {}
-    for i, name in enumerate(ring.names):
-        cols = []
-        for m in std:
-            up = list(m)
-            up[i] += 1
-            nf = normal_form(Polynomial(ring, {tuple(up): Fraction(1)}), G)
-            col = [Fraction(0)] * dim
-            for mm, c in nf.terms.items():
-                col[index[mm]] = c
-            cols.append(col)
-        # transpose columns into a row-major matrix
-        mult[name] = [[cols[j][r] for j in range(dim)] for r in range(dim)]
+    for u, name in zip(units, ring.names):
+        M = [[Fraction(0)] * dim for _ in range(dim)]
+        for j, s in enumerate(std):
+            for t, c in nf[mono_mul(s, u)].items():
+                M[index[t]][j] = c
+        mult[name] = M
     return QuotientAlgebra(ring, std, mult, G)

@@ -440,7 +440,9 @@ def _derivative_spectrum(fam, lam, ray, m):
     # match the last two samples and extrapolate (ray halves each step)
     prev, last = samples[-2], samples[-1]
     out = [2 * v - prev[i] for v, (i, _, _) in zip(last, match_nearest(last, prev))]
-    return spectral_order(out)
+    # accurate to about 1e-8 (B divides by the last ray point): order by
+    # the values at 1e-6, so that error cannot order a pair d, -d
+    return spectral_order(out, key=lambda v: complex(round(v.real, 6), round(v.imag, 6)))
 
 
 # -- semisimple eigenline convergence ---------------------------------

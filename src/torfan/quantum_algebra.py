@@ -30,6 +30,7 @@ __all__ = [
     "PhiMap",
     "qh_presentation",
     "sh_presentation",
+    "symplectic_cohomology",
     "c1_operator",
     "omega_class",
     "omega_operator",
@@ -144,6 +145,12 @@ def sh_presentation(A, classes):
     for f in classes:
         out = localize(out, f)
     return out
+
+
+def symplectic_cohomology(A):
+    """SH* as the quantum quotient A localized at x_1⋯x_r, the product
+    of the toric divisor classes."""
+    return localize(A, A.ring.monomial((1,) * A.ring.nvars))
 
 
 def _class_poly(ring, coefficients):

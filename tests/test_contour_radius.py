@@ -9,7 +9,7 @@ import pytest
 
 from torfan import perturbation
 from torfan.errors import ClusterAmbiguous
-from torfan.exact_algebra import match_nearest
+from torfan.exact_algebra import match_nearest, spectral_order
 from torfan.perturbation import (
     MatrixFamily,
     derivative_spectrum,
@@ -184,3 +184,19 @@ def test_geometric_radius_node_counts(runs):
                 dists = np.sort(np.abs(np.linalg.eigvals(A) - lam))
                 if dists[m] >= 10 * dists[m - 1]:
                     assert P.nodes <= 64
+
+
+def test_derivative_spectrum_order_is_exact_order():
+    """The derivatives carry an error of about 1e-8; their order must be
+    that of the exact values, including within each pair d, -d."""
+    for seed in range(2, 7):
+        rng = random.Random(seed)
+        for n, m in SIZES:
+            fam, derivs = semisimple_family(rng, n, m)
+            got = derivative_spectrum(fam, 0)
+            want = spectral_order([complex(d) for d in derivs])
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-7 * max(1.0, abs(w)), (seed, n, m)
+            # unrounded: the values are the extrapolated ones
+            assert any(g != w for g, w in zip(got, want))

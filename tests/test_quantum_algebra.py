@@ -2,11 +2,13 @@
 transfer."""
 
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
 from conftest import ideal_equal
 from torfan.bundle_blowup import nlb_from_k
+from torfan.cli import parse_fan_document
 from torfan.errors import NotMonotone
 from torfan.exact_algebra import char_min_poly, jordan_profile
 from torfan.quantum_algebra import (
@@ -17,6 +19,7 @@ from torfan.quantum_algebra import (
     phi_check,
     qh_presentation,
     sh_presentation,
+    symplectic_cohomology,
 )
 
 F = Fraction
@@ -119,3 +122,24 @@ def test_eigenvalue_transfer_rejects_bad_twist(p1xp1):
         eigenvalue_transfer_check(
             omega_operator(A_B, P), omega_operator(A_B, P), 2, 2
         )
+
+
+def test_symplectic_cohomology_matches_fiber_class_localization():
+    """On every shipped bundle example, localizing at x_1⋯x_r and at the
+    fiber class give the same dimension and omega charpoly."""
+    bundles = 0
+    examples = files("torfan") / "examples"
+    for path in sorted(examples.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith("_nlb.json"):
+            continue
+        fan, P, options = parse_fan_document(path.read_text(encoding="utf-8"))
+        fan_E, P_E, spec = nlb_from_k(fan, P, options["bundle"]["k"])
+        _, A = qh_presentation(fan_E, P_E)
+        SH = symplectic_cohomology(A)
+        fiber = sh_presentation(A, [_fiber_class(A.ring, spec.n)])
+        assert 0 < SH.dimension == fiber.dimension < A.dimension, path.name
+        chi, _ = char_min_poly(omega_operator(SH, P_E))
+        chi_fiber, _ = char_min_poly(omega_operator(fiber, P_E))
+        assert chi == chi_fiber, path.name
+        bundles += 1
+    assert bundles == 4
