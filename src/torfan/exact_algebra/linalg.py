@@ -4,10 +4,12 @@ Rational matrices are row-major lists of lists of Fraction (or int).
 Exact routines never approximate, and all of them eliminate with one
 engine: the fraction-free Bareiss echelon ``_bareiss`` of an integer
 matrix.  rank reads its length, ``_int_det`` its last pivot, and rref
-back-substitutes over it; solve, nullspace, inverse, localize and the
-basis completions of :mod:`torfan.perturbation` read rref and its
-pivots.  charpoly, minpoly and jordan_profile clear their input to
-integers once and run on Python ints.  The numeric entry point is
+back-substitutes over it; solve, nullspace, inverse and the basis
+completions of :mod:`torfan.perturbation` read rref and its pivots, and
+localize and the other exact generalized kernels read the chain
+ker N ⊂ ker N^2 ⊂ ... of ``_kernel_chain``, one rref per power.
+charpoly, minpoly and jordan_profile clear their input to integers once
+and run on Python ints.  The numeric entry point is
 :func:`complex_eigen`, whose results are residual-checked, and its
 spectra are ordered by :func:`spectral_order` and paired across samples
 by :func:`match_nearest`.
@@ -204,6 +206,24 @@ def _kernel(M, pivots, cols):
             v[pc] = -M[r][fc]
         basis.append(v)
     return basis
+
+
+def _kernel_chain(N):
+    """(kernels, P, pivots) for a square matrix N: the kernel bases of
+    N^0, N^1, ..., N^p as read from rref, P = N^p and the pivot columns
+    of rref(N^p), where p is the least power with rank N^(p+1) = rank N^p.
+
+    By Fitting's lemma ker N^p = ker N^n, so the last basis and the
+    pivots are those of N^n, and the columns of N^p at the pivots span
+    the invariant complement of that kernel."""
+    n = len(N)
+    kernels, P, pivots, Q = [[]], identity(n), list(range(n)), N
+    while True:
+        R, rpivots = rref(Q)
+        if len(rpivots) == len(pivots):
+            return kernels, P, pivots
+        kernels.append(_kernel(R, rpivots, n))
+        P, pivots, Q = Q, rpivots, mat_mul(N, Q)
 
 
 def solve(A, b):
@@ -407,15 +427,15 @@ def localize(A, f):
     n = A.dimension
     if n == 0:
         return A
-    R, pivots = rref(mat_pow(A.operator(f), n))
-    K = _kernel(R, pivots, n)
+    kernels, _, pivots = _kernel_chain(A.operator(f))
+    K = kernels[-1]
     s = len(K)
     if s == 0:
         return A
     if s == n:
         return QuotientAlgebra(A.ring, [], {name: [] for name in A.ring.names}, None)
     # complete the kernel with the unit vectors at the pivot columns of
-    # F^n: each kernel vector is 1 at its free column and 0 at the others
+    # F^p: each kernel vector is 1 at its free column and 0 at the others
     C = transpose(K + [[_ONE if i == j else _ZERO for i in range(n)] for j in pivots])
     Cinv = inverse(C)
     mult = {}
@@ -429,9 +449,9 @@ def localize(A, f):
 # -- numeric eigensolver ----------------------------------------------
 
 
-def complex_eigen(M, tol=1e-10):
+def complex_eigen(M):
     """Eigenvalues and eigenvectors of a complex matrix, with residual
-    guarantee ||M v - lam v|| <= tol * ||M|| per returned pair."""
+    guarantee ||M v - lam v|| <= 1e-10 * ||M|| per returned pair."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix is not square")
@@ -446,8 +466,8 @@ def complex_eigen(M, tol=1e-10):
     for i in range(len(w)):
         res = np.linalg.norm(A @ v[:, i] - w[i] * v[:, i]) / np.linalg.norm(v[:, i])
         worst = max(worst, res / scale)
-    if worst > tol:
-        raise NonConvergence(f"eigenpair residual {worst:.3e} exceeds {tol:.1e}")
+    if worst > 1e-10:
+        raise NonConvergence(f"eigenpair residual {worst:.3e} exceeds 1.0e-10")
     return list(w), v
 
 

@@ -19,24 +19,20 @@ from .errors import (
     NotSemisimple,
 )
 from .exact_algebra import (
-    charpoly,
-    factor_rational_poly,
     identity,
     inverse,
+    jordan_profile,
     mat_mul,
-    mat_pow,
     mat_scale,
     mat_sub,
     mat_vec,
     match_nearest,
-    nullspace,
-    rank,
     rref,
     spectral_order,
     to_numpy,
     transpose,
 )
-from .exact_algebra.linalg import _kernel
+from .exact_algebra.linalg import _kernel_chain
 
 __all__ = [
     "MatrixFamily",
@@ -58,9 +54,9 @@ CONTOUR_NODES = 256
 _STACK = 16  # resolvents inverted per np.linalg.inv call
 
 
-def default_ray(x0=0.1, ratio=0.5, steps=20):
-    """Positive real sample ray x0 * ratio**k, decreasing."""
-    return [x0 * ratio ** k for k in range(steps)]
+def default_ray():
+    """Positive real sample ray 0.1 * 0.5**k, k = 0..19, decreasing."""
+    return [0.1 * 0.5 ** k for k in range(20)]
 
 
 @dataclass(frozen=True)
@@ -240,33 +236,17 @@ def track_eigenvalues(fam, ray=None):
 # -- exact spectral data of A(0) --------------------------------------
 
 
-def _rational_eigenvalues(A0):
-    """Rational eigenvalues with algebraic multiplicities; the
-    remainder degree counts non-rational spectrum."""
-    chi = charpoly(A0)
-    rational = []
-    other = 0
-    for p, mult in factor_rational_poly(chi):
-        if p.degree() == 1:
-            lam = -p.coeff((0,))
-            rational.append((lam, mult))
-        else:
-            other += p.degree() * mult
-    return rational, other
-
-
 def _generalized_projection_exact(N):
     """Exact projection onto the generalized eigenspace of a rational
     eigenvalue lam along the complementary invariant subspace, from the
     exact shift N = A0 - lam I, with the algebraic multiplicity s of
     lam (0 when lam is not an eigenvalue)."""
     n = len(N)
-    Npow = mat_pow(N, n)
-    E, pivots = rref(Npow)
-    K = _kernel(E, pivots, n)
-    # the pivot columns of N^n span its column space, the complementary
+    kernels, P, pivots = _kernel_chain(N)
+    K = kernels[-1]
+    # the pivot columns of N^p span its column space, the complementary
     # invariant subspace
-    R = [[Npow[i][j] for i in range(n)] for j in pivots]
+    R = [[P[i][j] for i in range(n)] for j in pivots]
     C = transpose(K + R)
     s = len(K)
     return mat_mul([row[:s] for row in C], inverse(C)[:s]), s
@@ -277,14 +257,7 @@ def exact_jordan_blocks(A0, lam):
     list of (eigenvector, chain vectors bottom-up) per block, chains
     sorted by descending length."""
     N = mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam)))
-    kernels = [[]]
-    k = 1
-    while True:
-        b = nullspace(mat_pow(N, k))
-        if len(b) == len(kernels[-1]):
-            break
-        kernels.append(b)
-        k += 1
+    kernels, _, _ = _kernel_chain(N)
     p = len(kernels) - 1
     chains = []
     carried = []
@@ -398,14 +371,14 @@ def _check_semisimple(fam, lam):
     exact kernel of A(0) - lam, converted) when A(0) and lam are real;
     otherwise m comes from numeric ranks at tolerance 1e-8 and E from
     the eigenvectors of A(0) with eigenvalue within 1e-8 of lam.
-    Raises NotSemisimple when rank (A(0) - lam) > rank (A(0) - lam)^2,
-    that is, when lam carries a nontrivial Jordan block."""
+    Raises NotSemisimple when lam carries a nontrivial Jordan block:
+    exactly, when ker (A(0) - lam)^2 is larger than ker (A(0) - lam)."""
     N = _exact_shift(fam, lam)
     if N is not None:
-        K = nullspace(N)
-        if len(N) - len(K) != rank(mat_mul(N, N)):
+        kernels, _, _ = _kernel_chain(N)
+        if len(kernels) > 2:
             raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-        return len(K), to_numpy(K).T
+        return len(kernels[-1]), to_numpy(kernels[-1]).T
     A0 = fam(0.0)
     N = A0 - lam * np.eye(A0.shape[0])
     r1 = np.linalg.matrix_rank(N, tol=1e-8)
@@ -640,12 +613,11 @@ def gevec_convergence(fam, ray=None):
     A0r = fam.constant_term_rational()
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
-    rational, other = _rational_eigenvalues(A0r)
-    if other:
-        raise ValueError("exact block data needs rational eigenvalues at 0")
     blocks = []
-    for lam, _mult in rational:
-        for _, chain in exact_jordan_blocks(A0r, lam):
+    for p, _ in jordan_profile(A0r).entries:
+        if p.degree() > 1:
+            raise ValueError("exact block data needs rational eigenvalues at 0")
+        for _, chain in exact_jordan_blocks(A0r, -p.coeff((0,))):
             # the chain starts with the eigenvector
             span = to_numpy(chain).T
             blocks.append(

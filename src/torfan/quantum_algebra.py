@@ -13,14 +13,13 @@ from .exact_algebra import (
     complex_eigen,
     groebner_basis,
     localize,
-    mat_pow,
     match_nearest,
     normal_form,
-    nullspace,
     quotient_algebra,
     spectral_order,
     to_numpy,
 )
+from .exact_algebra.linalg import _kernel_chain
 from .lattice_fan import batyrev_decompose, primitive_collections, validate_fan
 from .polytope import fano_index
 
@@ -229,13 +228,14 @@ def phi_check(presB, presE, phi):
     return True
 
 
-def _cluster(values, rel_tol):
-    """Greedy clustering of complex values; returns (center, count)."""
+def _cluster(values):
+    """Greedy clustering of complex values within 1e-6 of the largest
+    modulus (or of 1); returns (center, count)."""
     scale = max([abs(v) for v in values] + [1.0])
     clusters = []
     for v in spectral_order(values):
         for idx, (center, cnt) in enumerate(clusters):
-            if abs(v - center) <= rel_tol * scale:
+            if abs(v - center) <= 1e-6 * scale:
                 clusters[idx] = ((center * cnt + v) / (cnt + 1), cnt + 1)
                 break
         else:
@@ -243,9 +243,7 @@ def _cluster(values, rel_tol):
     return clusters
 
 
-def eigenvalue_transfer_check(
-    omega_B, sh_omega_E, k, lam_B, qh_omega_E=None, sh_dim=None, tol=1e-8
-):
+def eigenvalue_transfer_check(omega_B, sh_omega_E, k, lam_B, qh_omega_E=None):
     """Check that nonzero base eigenvalue families map onto total-space
     families: (mu_E)^(lam_B - k) = (-k)^k mu_B^lam_B, with matching
     multiplicities, plus exact dimension bookkeeping when the
@@ -262,8 +260,8 @@ def eigenvalue_transfer_check(
     inv_E = [v ** lam_E / float((-k) ** k) for v in eigs_E if abs(v) > zero_tol]
     if len(eigs_E) != len(inv_E):
         return False  # localization left a zero eigenvalue behind
-    cl_B = _cluster(inv_B, 1e-6)
-    cl_E = _cluster(inv_E, 1e-6)
+    cl_B = _cluster(inv_B)
+    cl_E = _cluster(inv_E)
     if len(cl_B) != len(cl_E):
         return False
 
@@ -271,7 +269,7 @@ def eigenvalue_transfer_check(
     matches = match_nearest([c for c, _ in cl_B], [c for c, _ in cl_E])
     for (center, cnt), (idx, dist, _) in zip(cl_B, matches):
         worst = max(worst, dist)
-        if dist > tol * max(1.0, abs(center)):
+        if dist > 1e-8 * max(1.0, abs(center)):
             raise ToleranceExceeded(
                 f"family invariant mismatch {dist:.3e}", residual=worst
             )
@@ -279,9 +277,7 @@ def eigenvalue_transfer_check(
             return False
 
     if qh_omega_E is not None:
-        dim_qh = len(qh_omega_E)
-        kernel = len(nullspace(mat_pow(qh_omega_E, dim_qh)))
-        dim_sh = sh_dim if sh_dim is not None else len(sh_omega_E)
-        if dim_qh != dim_sh + kernel:
+        kernel = len(_kernel_chain(qh_omega_E)[0][-1])
+        if len(qh_omega_E) != len(sh_omega_E) + kernel:
             return False
     return True

@@ -157,12 +157,14 @@ def _hessian(E, c, z):
     return ((E.T * t) @ E - np.diag(E.T @ t)) / np.outer(z, z)
 
 
-def _newton_polish(E, c, z0, tol=1e-12, max_iter=100):
+def _newton_polish(E, c, z0):
+    """Newton iteration on the logarithmic gradient from z0, at most 100
+    steps, until ||dW/dz|| <= 1e-12."""
     z = np.array(z0, dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(100):
         t = _terms(E, c, z)
         g = E.T @ t
-        if np.linalg.norm(g / z) <= tol:  # g / z is dW/dz_j
+        if np.linalg.norm(g / z) <= 1e-12:  # g / z is dW/dz_j
             return z
         # Jacobian of the logarithmic gradient, then chain rule
         J = (E.T * t) @ E / z
@@ -173,7 +175,7 @@ def _newton_polish(E, c, z0, tol=1e-12, max_iter=100):
         z = z - step
         if not np.all(np.isfinite(z)) or np.any(np.abs(z) < 1e-14):
             raise NewtonDiverged("iterate left the torus")
-    if np.linalg.norm(_log_gradient(E, c, z) / z) > tol:
+    if np.linalg.norm(_log_gradient(E, c, z) / z) > 1e-12:
         raise NewtonDiverged("no convergence within the iteration budget")
     return z
 
@@ -236,8 +238,8 @@ def critical_points(W, seed=0, coefficients=None, jac=None):
     return points
 
 
-def _close(z, w, tol=1e-8):
-    return all(abs(complex(a) - complex(b)) <= tol * max(1.0, abs(b)) for a, b in zip(z, w))
+def _close(z, w):
+    return all(abs(complex(a) - complex(b)) <= 1e-8 * max(1.0, abs(b)) for a, b in zip(z, w))
 
 
 # -- mirror comparison -------------------------------------------------
@@ -261,7 +263,7 @@ class MirrorReport:
         )
 
 
-def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
+def mirror_check(fan, P, A, J, sh_algebra=None):
     """Compare the quantum side with the Jacobian ring.
 
     (a) each quantum monomial relation maps to an exact Laurent
@@ -272,7 +274,8 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
     (d) nonzero first-Chern eigenvalues match the eigenvalues of
     multiplication by the superpotential: exactly, as the two
     characteristic polynomials with their powers of X divided out, and
-    numerically, to tolerance, which gives the worst residual.
+    numerically, to 1e-8 of the largest modulus, which gives the worst
+    residual.
     """
     lambdas = P.lambdas
     # (a): z-exponents match by the decomposition, t-exponents by the
@@ -310,15 +313,15 @@ def mirror_check(fan, P, A, J, sh_algebra=None, tol=1e-8):
     eig_q = complex_eigen(to_numpy(c1))[0]
     eig_w = J.eigenvalues()
     scale = max([abs(v) for v in list(eig_q) + list(eig_w)] + [1.0])
-    nz_q = [v for v in eig_q if abs(v) > tol * scale]
-    nz_w = [v for v in eig_w if abs(v) > tol * scale]
+    nz_q = [v for v in eig_q if abs(v) > 1e-8 * scale]
+    nz_w = [v for v in eig_w if abs(v) > 1e-8 * scale]
     worst = float("inf") if len(nz_q) != len(nz_w) else 0.0
     eig_ok = len(nz_q) == len(nz_w)
     if eig_ok:
         # greedy nearest matching: sorting by magnitude is unstable when
         # distinct eigenvalues share the same modulus
         worst = max((d for _, d, _ in match_nearest(nz_q, nz_w)), default=0.0)
-        eig_ok = worst <= tol * scale
+        eig_ok = worst <= 1e-8 * scale
     eig_ok = eig_ok and _nonzero_part(charpoly(c1)) == _nonzero_part(charpoly(J.W_matrix))
     report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok, worst)
     if not report.ok:
@@ -343,14 +346,15 @@ def _nonzero_part(p):
     return {(m[0] - low,): c for m, c in p.terms.items()}
 
 
-def family_closure_check(values, lam_X, tol=1e-8):
+def family_closure_check(values, lam_X):
     """True when the multiset of critical values is invariant under
-    multiplication by the primitive lam_X-th root of unity."""
+    multiplication by the primitive lam_X-th root of unity, to 1e-8 of
+    the largest modulus."""
     values = [complex(v) for v in values]
     zeta = np.exp(2j * np.pi / lam_X)
     scale = max([abs(v) for v in values] + [1.0])
     matches = match_nearest([zeta * v for v in values], values)
-    return all(d <= tol * scale for _, d, _ in matches)
+    return all(d <= 1e-8 * scale for _, d, _ in matches)
 
 
 def barycentre_landing_check(P, lam_X):
@@ -372,21 +376,21 @@ def barycentre_landing_check(P, lam_X):
     return True
 
 
-def galkin_point(fan, tol=1e-10, max_iter=200):
+def galkin_point(fan):
     """Positive real critical point by damped Newton minimization of
-    the edge-exponential sum; raises HalfSpaceFan (with a certificate
-    direction, a primitive integer vector) when the fan sits in a
-    closed half-space."""
+    the edge-exponential sum, at most 200 steps, to gradient norm 1e-10;
+    raises HalfSpaceFan (with a certificate direction, a primitive
+    integer vector) when the fan sits in a closed half-space."""
     cert = recession_ray([[-x for x in e] for e in fan.edges], fan.rank)
     if cert is not None:
         ints = _clear_rows([cert])[0]
         raise HalfSpaceFan(tuple(x // gcd(*ints) for x in ints))
     E = np.array(fan.edges, dtype=float)
     u = np.zeros(fan.rank)
-    for _ in range(max_iter):
+    for _ in range(200):
         vals = np.exp(E @ u)
         grad = E.T @ vals
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= 1e-10:
             break
         H = E.T @ (vals[:, None] * E)
         step = np.linalg.solve(H, grad)
@@ -396,7 +400,7 @@ def galkin_point(fan, tol=1e-10, max_iter=200):
             t /= 2
         u = u - t * step
     vals = np.exp(E @ u)
-    if np.linalg.norm(E.T @ vals) > tol:
+    if np.linalg.norm(E.T @ vals) > 1e-10:
         raise NewtonDiverged("minimization did not reach the gradient tolerance")
     return tuple(float(x) for x in u), float(vals.sum())
 

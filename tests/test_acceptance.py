@@ -222,7 +222,6 @@ def test_criterion_07_eigenvalue_transfer():
             k,
             lam_B,
             qh_omega_E=omega_operator(A_E, P_E),
-            sh_dim=SH.dimension,
         )
     _verdict(7, "base-to-total eigenvalue transfer with bookkeeping", ok)
 

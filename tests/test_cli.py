@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import torfan
 from torfan import errors
-from torfan.cli import main, parse_fan_document, parse_matrix_document
+from torfan.cli import COMMANDS, main, parse_fan_document, parse_matrix_document
 
 EXAMPLES = files("torfan") / "examples"
 
@@ -305,3 +306,37 @@ def test_cli_import_leaves_sympy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def _torfan_errors():
+    """Every TorfanError subclass by name."""
+    found, todo = {}, [errors.TorfanError]
+    while todo:
+        cls = todo.pop()
+        found[cls.__name__] = cls
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def test_every_command_on_every_example_ends_in_a_report_or_a_named_error(capsys):
+    """Each fan command on each shipped fan document, and kato on each
+    matrix document: exit 0 with a JSON report, or exit 1 (domain) or 2
+    (parse or validation) with a named TorfanError, and nothing else."""
+    named = _torfan_errors()
+    statuses = Counter()
+    for path in sorted(Path(str(EXAMPLES)).glob("*.json")):
+        if path.name == "schema.json":
+            continue
+        commands = ["kato"] if path.name.startswith("kato") else [c for c in COMMANDS if c != "kato"]
+        for cmd in commands:
+            code, out, err = run(capsys, cmd, "--input", str(path), "--format", "json")
+            statuses[code] += 1
+            where = f"{cmd} {path.name}"
+            if code == 0:
+                assert set(json.loads(out)) == {"command", "seed", "results"}, where
+                continue
+            assert code in (1, 2) and not out, where
+            cls = named[err.split(":")[0]]
+            documented = issubclass(cls, (errors.ParseError, errors.ValidationError))
+            assert code == (2 if documented else 1), where
+    assert statuses == {0: 80, 1: 7, 2: 15}

@@ -27,6 +27,20 @@ def test_projective_plane_validates(p2):
     assert report.smooth and report.complete
 
 
+def test_lower_dimensional_maximal_cones():
+    """A maximal cone below the ambient rank is smooth when its maximal
+    minors are coprime, and must still be simplicial."""
+    plane = Fan.make(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)])
+    assert validate_fan(plane).smooth
+    wide = Fan.make(3, [(1, 0, 0), (1, 2, 0)], [(0, 1)])
+    report = validate_fan(wide)
+    assert not report.smooth
+    assert f"cone {wide.max_cones[0]} does not extend to a lattice basis" in report.notes
+    line = Fan.make(3, [(1, 0, 0), (-1, 0, 0)], [(0, 1)])
+    with pytest.raises(ValidationError, match="not simplicial"):
+        validate_fan(line)
+
+
 def test_primitive_collections_projective_plane(p2):
     fan, _ = p2
     assert set(primitive_collections(fan)) == {frozenset({0, 1, 2})}

@@ -111,7 +111,6 @@ def test_eigenvalue_transfer(p1xp1):
         1,
         2,
         qh_omega_E=omega_operator(A_E, P_E),
-        sh_dim=SH.dimension,
     )
 
 

@@ -24,6 +24,7 @@ from torfan.exact_algebra import (
     quotient_algebra,
     zero_matrix,
 )
+from torfan.lattice_fan import Fan
 from torfan.polytope import MomentPolytope
 from torfan.quantum_algebra import qh_presentation, sh_presentation
 from torfan.superpotential import (
@@ -271,6 +272,24 @@ def test_galkin_point(p2, p1xp1):
     assert all(type(x) is int for x in u) and gcd(*u) == 1
     assert all(sum(a * b for a, b in zip(e, u)) <= 0 for e in fan_E.edges)
     assert str(u) in str(exc.value)
+
+
+def test_galkin_point_damped_newton_on_blown_up_plane():
+    """Bl_pt P^2 has edge sum (1, 1), so Newton leaves u = 0: exp(u) is
+    the positive real critical point of W, with the same value."""
+    edges = [(1, 0), (0, 1), (-1, -1), (1, 1)]
+    fan = Fan.make(2, edges, [(0, 3), (1, 3), (1, 2), (0, 2)])
+    P = MomentPolytope.make(2, edges, [0, 0, -1, F(1, 3)])
+    u, value = galkin_point(fan)
+    z = np.exp(u)
+    positive = [
+        p for p in critical_points(build_superpotential(P))
+        if all(abs(c.imag) < 1e-9 and c.real > 0 for c in p.coordinates)
+    ]
+    assert len(positive) == 1
+    assert np.allclose(positive[0].coordinates, z, rtol=0, atol=1e-9)
+    assert abs(positive[0].value - value) < 1e-9
+    assert value == pytest.approx(3.7996, abs=1e-4)
 
 
 def test_perturb_and_separate(p1xp1):
