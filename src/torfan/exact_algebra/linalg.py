@@ -22,6 +22,7 @@ from math import atan2, gcd, lcm, tau
 import numpy as np
 
 from ..errors import Inconsistent, NonConvergence
+from .factor import factor_integer_poly
 from .groebner import QuotientAlgebra
 from .poly import Polynomial, Ring
 
@@ -354,23 +355,22 @@ class JordanProfile:
 
 
 def factor_rational_poly(p):
-    """Irreducible monic factors of a univariate rational polynomial,
-    as a list of (factor, multiplicity).  Delegates the univariate
-    factorization to sympy."""
-    import sympy
+    """Irreducible monic factors of a univariate rational polynomial, as a
+    list of (factor, multiplicity); a constant gives [].  The factors come
+    in increasing degree, and factors of one degree in increasing order of
+    their (exponent, coefficient) pairs listed from the constant term up.
 
-    X = sympy.Symbol("X")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * X ** m[0]
-        for m, c in p.terms.items()
-    )
-    _, factors = sympy.Poly(expr, X, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = fac.monic().all_coeffs()  # descending
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
-        coeffs.reverse()
-        out.append((_poly_from_coeffs(coeffs), int(mult)))
+    Exact over Q, by :func:`.factor.factor_integer_poly` on the cleared
+    integer polynomial: Yun's squarefree decomposition, then Zassenhaus's
+    modular factorization, Hensel lifting and recombination."""
+    coeffs = [p.coeff((j,)) for j in range(p.degree() + 1)]
+    if len(coeffs) < 2:
+        return []
+    L = lcm(*(c.denominator for c in coeffs))
+    out = [
+        (_poly_from_coeffs([Fraction(c, f[-1]) for c in f]), mult)
+        for f, mult in factor_integer_poly([int(c * L) for c in coeffs])
+    ]
     out.sort(key=lambda t: (t[0].degree(), sorted(t[0].terms.items())))
     return out
 

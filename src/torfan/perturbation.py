@@ -19,9 +19,10 @@ from .errors import (
     NotSemisimple,
 )
 from .exact_algebra import (
+    charpoly,
+    factor_rational_poly,
     identity,
     inverse,
-    jordan_profile,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -614,7 +615,7 @@ def gevec_convergence(fam, ray=None):
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
     blocks = []
-    for p, _ in jordan_profile(A0r).entries:
+    for p, _ in factor_rational_poly(charpoly(A0r)):
         if p.degree() > 1:
             raise ValueError("exact block data needs rational eigenvalues at 0")
         for _, chain in exact_jordan_blocks(A0r, -p.coeff((0,))):

@@ -2,9 +2,11 @@
 
 import pytest
 
-from torfan.exact_algebra import groebner_basis, normal_form
+from torfan.bundle_blowup import blowup_point, nlb_from_k
+from torfan.exact_algebra import charpoly, groebner_basis, normal_form
 from torfan.lattice_fan import Fan
 from torfan.polytope import MomentPolytope
+from torfan.quantum_algebra import omega_operator, qh_presentation
 
 
 def projective_space(m):
@@ -29,6 +31,29 @@ def product_of_lines(k=2):
     fan = Fan.make(k, edges, cones)
     P = MomentPolytope.make(k, edges, [0, -1] * k)
     return fan, P
+
+
+def ladder_omega_charpolys():
+    """(name, characteristic polynomial of omega on QH) over the
+    benchmark's toric ladder: P^2..P^8, (P^1)^2..(P^1)^5, O(-k) -> P^m for
+    1 <= k <= m <= 4, and reflexive P^2 blown up at 1-3 points and P^3 at
+    one."""
+    cases = [(f"P{m}", projective_space(m)) for m in range(2, 9)]
+    cases += [(f"P1^{k}", product_of_lines(k)) for k in range(2, 6)]
+    for m in range(1, 5):
+        for k in range(1, m + 1):
+            cases.append((f"O(-{k})->P{m}", nlb_from_k(*projective_space(m), k)[:2]))
+    for m, points in ((2, 1), (2, 2), (2, 3), (3, 1)):
+        fan, P = projective_space(m)
+        P = MomentPolytope.make(m, fan.edges, [-1] * (m + 1))
+        for _ in range(points):
+            fan, P = blowup_point(fan, P, next(i for i, c in enumerate(fan.max_cones) if max(c) <= m))
+        cases.append((f"Bl{points}P{m}", (fan, P)))
+    out = []
+    for name, (fan, P) in cases:
+        _, A = qh_presentation(fan, P)
+        out.append((name, charpoly(omega_operator(A, P))))
+    return out
 
 
 def ideal_equal(gens_a, gens_b):

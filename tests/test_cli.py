@@ -296,16 +296,36 @@ def test_fractional_support_numbers_run_at_t_equal_one(capsys, tmp_path, doc, co
     assert json.loads(out)["results"]["ok"]
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    # sympy is imported lazily, by the commands that factor polynomials
+# Runs the CLI with every import of sympy failing: sys.modules["sympy"]
+# = None makes "import sympy" raise ImportError.
+_WITHOUT_SYMPY = (
+    "import sys; sys.modules['sympy'] = None; "
+    "from torfan.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "cmd,doc",
+    [
+        ("kato", "kato_upper.json"),
+        ("kato", "kato_3x3.json"),
+        ("qh", "p2_nlb.json"),
+        ("sh", "p2_nlb.json"),
+        ("mirror", "p2_nlb.json"),
+        ("separate", "p2_nlb.json"),
+    ],
+)
+def test_cli_commands_run_without_sympy(capsys, cmd, doc):
+    argv = [cmd, "--input", example(doc), "--format", "json"]
     env = dict(os.environ)
     src = str(Path(torfan.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, torfan.cli; print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    blocked = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SYMPY, *argv], env=env, capture_output=True, text=True
+    )
+    code, out, err = run(capsys, *argv)
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (code, out, err)
+    assert code == 0
 
 
 def _torfan_errors():

@@ -1,31 +1,30 @@
 """Unit tests for the exact polynomial/linear-algebra layer."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 
-from conftest import projective_space
+from conftest import ladder_omega_charpolys, projective_space
+from torfan.cli import main
 from torfan.errors import Inconsistent, InfiniteDimensional
 from torfan.exact_algebra import (
-    Polynomial,
     Ring,
     UNIVARIATE,
     char_min_poly,
     charpoly,
     complex_eigen,
+    factor_rational_poly,
     grevlex_key,
     groebner_basis,
     identity,
     inverse,
     jordan_profile,
     localize,
-    mat_add,
     mat_mul,
-    mat_scale,
     match_nearest,
     minpoly,
     normal_form,
@@ -72,57 +71,6 @@ def test_cached_leading_monomial_after_arithmetic():
     for f in [p, q] + results:
         assert f.leading_monomial() == max(f.terms, key=grevlex_key)
         assert f.leading_coeff() == f.terms[max(f.terms, key=grevlex_key)]
-
-
-def _to_sympy(f, syms):
-    expr = 0
-    for m, c in f.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(syms, m):
-            term *= s ** e
-        expr += term
-    return sympy.expand(expr)
-
-
-@pytest.mark.parametrize(
-    "gens",
-    [
-        ["x**2 + y**2 - 1", "x*y - 1"],
-        ["x**3 - 2*x*y", "x**2*y - 2*y**2 + x"],
-        ["x**2 + y + z - 1", "x + y**2 + z - 1", "x + y + z**2 - 1"],
-    ],
-)
-def test_groebner_matches_sympy(gens):
-    names = ("x", "y", "z") if any("z" in g for g in gens) else ("x", "y")
-    ring = Ring(names)
-    syms = sympy.symbols(names)
-    mine = groebner_basis(
-        [
-            _from_sympy(sympy.sympify(g), ring, syms)
-            for g in gens
-        ]
-    )
-    theirs = sympy.groebner(
-        [sympy.sympify(g) for g in gens], *syms, order="grevlex"
-    )
-
-    def grevlex_monic(expr):
-        p = sympy.Poly(expr, *syms)
-        mono, coeff = max(p.terms(), key=lambda t: grevlex_key(tuple(int(e) for e in t[0])))
-        return sympy.expand(expr / coeff)
-
-    mine_set = {grevlex_monic(_to_sympy(f, syms)) for f in mine.generators}
-    theirs_set = {grevlex_monic(p) for p in theirs.exprs}
-    assert mine_set == theirs_set
-
-
-def _from_sympy(expr, ring, syms):
-    poly = sympy.Poly(expr, *syms)
-    out = ring.zero()
-    for mono, coeff in poly.terms():
-        c = F(coeff.p, coeff.q)
-        out = out + Polynomial(ring, {tuple(int(e) for e in mono): c})
-    return out
 
 
 def test_groebner_basis_independent_of_generator_order():
@@ -184,20 +132,6 @@ def test_linear_algebra_roundtrips():
         solve(singular, [F(1), F(0)])
 
 
-def test_charpoly_minpoly_match_sympy():
-    M = [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(6), F(-11), F(6)]]
-    chi = charpoly(M)
-    X = sympy.Symbol("X")
-    expected = sympy.Matrix([[0, 1, 0], [0, 0, 1], [6, -11, 6]]).charpoly(X)
-    mine = sum(
-        sympy.Rational(c.numerator, c.denominator) * X ** m[0]
-        for m, c in chi.terms.items()
-    )
-    assert sympy.expand(mine - expected.as_expr()) == 0
-    # distinct eigenvalues 1, 2, 3: minimal polynomial equals characteristic
-    assert minpoly(M).terms == chi.terms
-
-
 def test_jordan_profile():
     # one 2-block and one 1-block at 3, one 1-block at 5
     M = [
@@ -238,37 +172,102 @@ def _oracle_matrices():
     return out
 
 
-def _poly_at(p, M):
-    """p(M) by Horner's rule in Fraction arithmetic."""
-    n = len(M)
-    out = [[F(0)] * n for _ in range(n)]
-    for k in range(p.degree(), -1, -1):
-        out = mat_add(mat_mul(out, M), mat_scale(identity(n), p.coeff((k,))))
+_X = UNIVARIATE.var(0)
+
+IRREDUCIBLES = (
+    _X ** 4 + 1,
+    _X ** 4 - 10 * _X ** 2 + 1,
+    _X ** 8 + 1,
+    _X ** 5 - _X - 1,
+    2 * _X + 1,
+    3 * _X ** 2 - 5,
+)
+
+
+def _factor_order(factors):
+    return sorted(factors, key=lambda t: (t[0].degree(), sorted(t[0].terms.items())))
+
+
+def seeded_products(count=200):
+    """(p, factorization) for rational multiples p of products of
+    distinct IRREDUCIBLES, each to a power up to 3."""
+    rng = random.Random(1969)
+    out = []
+    for _ in range(count):
+        p = UNIVARIATE.constant(F(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        factors = []
+        for f in rng.sample(IRREDUCIBLES, rng.randint(1, 4)):
+            k = rng.randint(1, 3)
+            p = p * f ** k
+            factors.append((f.monic(), k))
+        out.append((p, _factor_order(factors)))
     return out
 
 
-def test_charpoly_and_rank_match_sympy_on_random_rationals():
-    X = sympy.Symbol("X")
-    rng = random.Random(7)
-    for M in _oracle_matrices():
-        S = sympy.Matrix(M)
-        assert sympy.expand(_to_sympy(charpoly(M), [X]) - S.charpoly(X).as_expr()) == 0
-        assert rank(M) == S.rank()
-        R = _random_rational(rng, rng.randint(1, 8), rng.randint(1, 8))
-        assert rank(R) == sympy.Matrix(R).rank()
+def test_factors_multiply_back_to_the_monic_input():
+    polys = [chi for _, chi in ladder_omega_charpolys()]
+    polys += [charpoly(M) for M in _oracle_matrices()]
+    polys.append(charpoly([[F(0.1), F(1)], [F(0), F(0.3)]]))
+    for p in polys:
+        factors = factor_rational_poly(p)
+        back = UNIVARIATE.one()
+        for f, mult in factors:
+            assert f.leading_coeff() == 1 and mult >= 1
+            back = back * f ** mult
+        assert back == p.monic(), p.pretty()
+        assert len({f for f, _ in factors}) == len(factors)
+        assert factors == _factor_order(factors)
 
 
-def test_minpoly_annihilates_divides_and_matches_jordan_profile():
-    X = sympy.Symbol("X")
-    for M in _oracle_matrices():
-        n = len(M)
-        mu = minpoly(M)
-        assert _poly_at(mu, M) == [[F(0)] * n for _ in range(n)]
-        assert sympy.rem(_to_sympy(charpoly(M), [X]), _to_sympy(mu, [X]), X) == 0
-        from_blocks = UNIVARIATE.one()
-        for p, sizes in jordan_profile(M).entries:
-            from_blocks = from_blocks * p ** sizes[0]
-        assert mu == from_blocks
+def test_factorization_of_known_products():
+    # X^4 + 1, X^4 - 10X^2 + 1 and X^8 + 1 split modulo every prime, so
+    # only recombination shows them irreducible
+    for f in IRREDUCIBLES:
+        assert factor_rational_poly(f) == [(f.monic(), 1)]
+    for p, factors in seeded_products():
+        assert factor_rational_poly(p) == factors, p.pretty()
+
+
+def test_factor_constant_is_empty():
+    assert factor_rational_poly(UNIVARIATE.constant(F(-3, 7))) == []
+    assert factor_rational_poly(UNIVARIATE.zero()) == []
+
+
+def _approx(value):
+    if isinstance(value, dict):
+        return {k: _approx(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_approx(v) for v in value]
+    if isinstance(value, float):
+        return pytest.approx(value, rel=1e-6, abs=1e-5)
+    return value
+
+
+def test_kato_on_a_float_document(capsys, tmp_path):
+    # A(0) = [[0.1, 1], [0, 0.3]] is exact with denominators 2^55 and 2^54;
+    # the report is the one the sympy-factoring kato gave
+    path = tmp_path / "float_kato.json"
+    path.write_text(json.dumps({"entries": [[[0.1, 1], [1]], [[0], [0.3, 0.5]]]}))
+    assert main(["kato", "--input", str(path), "--format", "json"]) == 0
+    branch = {"matched": True, "pole_exponent": 3.7987663950769145e-06}
+    cluster = {"block_size": 1, "decreasing": True, "size": 1}
+    expected = {
+        "command": "kato",
+        "seed": 0,
+        "results": {
+            "size": 2,
+            "branches": [
+                dict(branch, start=[0.2, 0.0], limit=[0.10000019073486328, 0.0]),
+                dict(branch, start=[0.35, 0.0], limit=[0.3000000953674316, 0.0]),
+            ],
+            "gevec_clusters": [
+                dict(cluster, final_distance=0.0),
+                dict(cluster, final_distance=9.169945534901594e-08),
+            ],
+            "gevec_ok": True,
+        },
+    }
+    assert _approx(expected) == json.loads(capsys.readouterr().out)
 
 
 def test_jordan_profile_of_conjugated_blocks():
