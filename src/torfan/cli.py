@@ -82,17 +82,26 @@ def _load_json(text):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+def _float_range(x, value, where):
+    try:
+        float(x)
+    except OverflowError:
+        raise ParseError(f"{where}: {value!r} is outside the range of a float")
+    return x
+
+
 def _rational(value, where):
     try:
-        return Fraction(str(value))
+        x = Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: {value!r} is not a rational p/q")
+    return _float_range(x, value, where)
 
 
 def _integer(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{where}: {value!r} is not an integer")
-    return value
+    return _float_range(value, value, where)
 
 
 def _list(value, where):

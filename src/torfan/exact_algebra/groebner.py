@@ -1,55 +1,116 @@
 """Buchberger's algorithm, normal forms, and finite quotient algebras.
 
+Buchberger's algorithm and normal forms run fraction-free over ℤ
+(Geddes, Czapor and Labahn 1992) on inputs cleared of denominators; a
+basis element is kept as ``(lm, lc, tail)`` with integer coefficients,
+content divided out and ``lc > 0``.  Each reduction step makes the
+choice of the rational division algorithm (Cox, Little and O'Shea §2.3)
+but multiplies through by ``lc / gcd(lc, c)`` instead of dividing.
+
 Pending S-pairs sit in a heap keyed by the grevlex order of their lcm,
 so each step takes the smallest lcm (the normal selection strategy) in
 O(log n); ties are broken by the index pair.  The product and chain
-criteria discard redundant pairs.  The final basis is minimalized and
-reduced with unit leading coefficients; a reduced Gröbner basis is
-unique, so the output does not depend on the order of the generators or
-of the pairs.
+criteria discard redundant pairs.  The final basis is minimalized,
+reduced, and only then made monic with ``Fraction`` coefficients; a
+reduced Gröbner basis is unique, so the output does not depend on the
+order of the generators or of the pairs.
 """
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import InfiniteDimensional, RingMismatch
 from .poly import Polynomial, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
+
+
+def _cleared(f):
+    """f's coefficients times the lcm D of their denominators: (D, terms)."""
+    D = lcm(*(c.denominator for c in f.terms.values()))
+    return D, {m: c.numerator * (D // c.denominator) for m, c in f.terms.items()}
+
+
+def _primitive(terms, lm):
+    """Nonzero integer terms with leading monomial lm as (lm, lc, tail),
+    content divided out and lc > 0."""
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    return lm, terms[lm] // g, [(m, c // g) for m, c in terms.items() if m != lm]
+
+
+def _reduce(rest, basis):
+    """Fully reduce the integer terms ``rest`` (consumed) by the triples of
+    ``basis``: (out, k) with out / k the rational remainder of rest, its
+    terms in decreasing grevlex order.  A max-heap of negated grevlex keys
+    gives the leading monomial m; the first divisor in basis order whose
+    lm divides m reduces it.  Cancelled terms stay in ``rest`` as zeros
+    until popped.
+    """
+    heap = [(-sum(m),) + m[::-1] for m in rest]
+    heapq.heapify(heap)
+    out, k = {}, 1
+    while heap:
+        m = heapq.heappop(heap)[:0:-1]
+        c = rest.pop(m)
+        if not c:
+            continue
+        for lm, lc, tail in basis:
+            if mono_divides(lm, m):
+                break
+        else:
+            out[m] = c
+            continue
+        g = gcd(lc, c)
+        s, c = lc // g, c // g
+        if s != 1:
+            k *= s
+            for t in rest:
+                rest[t] *= s
+            for t in out:
+                out[t] *= s
+        u = mono_div(m, lm)
+        for t, d in tail:
+            t = mono_mul(t, u)
+            if t in rest:
+                rest[t] -= c * d
+            else:
+                rest[t] = -c * d
+                heapq.heappush(heap, (-sum(t),) + t[::-1])
+    return out, k
 
 
 def normal_form(f, G):
     """Fully reduce f modulo the polynomials of G.
 
     The result contains no term divisible by a leading monomial of G,
-    and differs from f by an element of the generated ideal.
+    and differs from f by an element of the generated ideal.  G need not
+    be a Gröbner basis: each leading term is reduced by the first
+    generator whose leading monomial divides it.
     """
     gens = G.generators if isinstance(G, GroebnerBasis) else [g for g in G if g]
     for g in gens:
         if g.ring != f.ring:
             raise RingMismatch("polynomial outside the basis ring")
-    out = f.ring.zero()
-    rest = f
-    while rest:
-        m = rest.leading_monomial()
-        c = rest.terms[m]
-        for g in gens:
-            lm = g.leading_monomial()
-            if mono_divides(lm, m):
-                factor = Polynomial(f.ring, {mono_div(m, lm): c / g.leading_coeff()})
-                rest = rest - factor * g
-                break
-        else:
-            head = Polynomial(f.ring, {m: c})
-            out = out + head
-            rest = rest - head
+    D, terms = _cleared(f)
+    basis = [_primitive(_cleared(g)[1], g.leading_monomial()) for g in gens]
+    out, k = _reduce(terms, basis)
+    return Polynomial(f.ring, {m: Fraction(c, D * k) for m, c in out.items()})
+
+
+def _s_poly(a, b):
+    """Integer S-polynomial of two triples, cross-multiplied by the
+    cofactors of their leading coefficients (cancelled terms kept as 0)."""
+    (la, ca, ta), (lb, cb, tb) = a, b
+    L = mono_lcm(la, lb)
+    g = gcd(ca, cb)
+    sa, sb = cb // g, ca // g
+    ua, ub = mono_div(L, la), mono_div(L, lb)
+    out = {mono_mul(m, ua): sa * c for m, c in ta}
+    for m, c in tb:
+        t = mono_mul(m, ub)
+        out[t] = out.get(t, 0) - sb * c
     return out
-
-
-def _s_poly(f, g):
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = mono_lcm(lf, lg)
-    mf = Polynomial(f.ring, {mono_div(lcm, lf): Fraction(1) / f.leading_coeff()})
-    mg = Polynomial(g.ring, {mono_div(lcm, lg): Fraction(1) / g.leading_coeff()})
-    return mf * f - mg * g
 
 
 class GroebnerBasis:
@@ -97,11 +158,11 @@ def groebner_basis(generators):
 
     G = []
     for g in gens:
-        h = normal_form(g, G)
-        if h:
-            G.append(h.monic())
+        out, _ = _reduce(_cleared(g)[1], G)
+        if out:
+            G.append(_primitive(out, next(iter(out))))
 
-    lms = [g.leading_monomial() for g in G]
+    lms = [g[0] for g in G]
     queue = []
     pairs = set()
 
@@ -135,11 +196,11 @@ def groebner_basis(generators):
                     break
         if skip:
             continue
-        h = normal_form(_s_poly(G[i], G[j]), G)
-        if h:
-            h = h.monic()
-            G.append(h)
-            lms.append(h.leading_monomial())
+        out, _ = _reduce(_s_poly(G[i], G[j]), G)
+        if out:
+            lm = next(iter(out))
+            G.append(_primitive(out, lm))
+            lms.append(lm)
             new = len(G) - 1
             for k in range(new):
                 push_pair(k, new)
@@ -158,13 +219,12 @@ def groebner_basis(generators):
         if not redundant:
             polys.append(g)
 
-    # fully reduce each survivor against the others
+    # fully reduce each survivor against the others, then make it monic
     reduced = []
-    for i, g in enumerate(polys):
-        others = polys[:i] + polys[i + 1 :]
-        h = normal_form(g, others)
-        if h:
-            reduced.append(h.monic())
+    for i, (lm, lc, tail) in enumerate(polys):
+        out, _ = _reduce({lm: lc, **dict(tail)}, polys[:i] + polys[i + 1 :])
+        lc = out[lm]  # no other survivor's lm divides lm
+        reduced.append(Polynomial(ring, {m: Fraction(c, lc) for m, c in out.items()}))
     reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return GroebnerBasis(ring, reduced)
 

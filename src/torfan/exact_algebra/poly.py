@@ -4,7 +4,9 @@ A :class:`Ring` is an ordered list of variable names; monomials are
 exponent tuples ordered by graded reverse lexicographic order (grevlex)
 with declaration-order priority.  Coefficients are ``fractions.Fraction``
 (arbitrary-precision, always reduced, positive denominator), which is the
-package's rational scalar type throughout.
+package's public rational scalar type throughout; Buchberger's algorithm
+and normal forms in :mod:`.groebner` reduce over ℤ internally and hand
+back ``Fraction`` polynomials.
 """
 
 from fractions import Fraction

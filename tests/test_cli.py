@@ -360,3 +360,37 @@ def test_every_command_on_every_example_ends_in_a_report_or_a_named_error(capsys
             documented = issubclass(cls, (errors.ParseError, errors.ValidationError))
             assert code == (2 if documented else 1), where
     assert statuses == {0: 80, 1: 7, 2: 15}
+
+
+MALFORMED_CORPUS = sorted((Path(__file__).parent / "malformed").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", MALFORMED_CORPUS, ids=lambda p: p.stem)
+def test_every_command_on_the_malformed_corpus_ends_in_a_report_or_a_named_error(capsys, path):
+    """tests/malformed holds documents that are not JSON, of the wrong
+    shape, out of range or outside float range: every command on each
+    ends in a report or a named TorfanError, never a traceback."""
+    named = _torfan_errors()
+    for cmd in COMMANDS:
+        code, out, err = run(capsys, cmd, "--input", str(path), "--format", "json")
+        where = f"{cmd} {path.name}"
+        assert "Traceback" not in err, where
+        if code == 0:
+            assert set(json.loads(out)) == {"command", "seed", "results"}, where
+            continue
+        assert code in (1, 2) and not out, where
+        cls = named[err.split(":")[0]]
+        documented = issubclass(cls, (errors.ParseError, errors.ValidationError))
+        assert code == (2 if documented else 1), where
+
+
+@pytest.mark.parametrize(
+    "name,entry",
+    [("lambda_overflow", "lambdas[0]: '1e400'"), ("edge_overflow", "edges[2][1]: -1000")],
+)
+@pytest.mark.parametrize("cmd", ["qh", "sh", "separate", "galkin", "critical"])
+def test_numbers_outside_float_range_are_parse_errors(capsys, name, entry, cmd):
+    path = Path(__file__).parent / "malformed" / f"{name}.json"
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"ParseError: {entry}") and "outside the range of a float" in err

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import product_of_lines, projective_space
-from torfan.bundle_blowup import blowup_point, nlb_from_k
+from conftest import four_variable_generators, oracle_ladder, random_ideal_generators, random_poly
 from torfan.exact_algebra import (
     Polynomial,
     QuotientAlgebra,
@@ -31,8 +30,6 @@ from torfan.exact_algebra import (
     zero_matrix,
 )
 from torfan.exact_algebra.poly import mono_divides
-from torfan.lattice_fan import Fan
-from torfan.polytope import MomentPolytope
 from torfan.quantum_algebra import qh_presentation
 from torfan.superpotential import _laurent_polynomial, build_superpotential, jacobian_ring
 
@@ -88,65 +85,11 @@ def _operator(A, f):
 # -- cases -------------------------------------------------------------------
 
 
-def _reflexive_blowup(m, points):
-    edges = [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(-1,) * m]
-    cones = [tuple(j for j in range(m + 1) if j != i) for i in range(m + 1)]
-    fan, P = Fan.make(m, edges, cones), MomentPolytope.make(m, edges, [-1] * (m + 1))
-    for _ in range(points):
-        cone = next(i for i, c in enumerate(fan.max_cones) if max(c) <= m)
-        fan, P = blowup_point(fan, P, cone)
-    return fan, P
-
-
-def _ladder():
-    """(name, fan, polytope) for a subset of the benchmark ladder."""
-    out = [(f"P{m}", *projective_space(m)) for m in (2, 3, 4)]
-    out += [(f"P1^{k}", *product_of_lines(k)) for k in (2, 3)]
-    for m, k in ((2, 1), (3, 2)):
-        fan, P, _ = nlb_from_k(*projective_space(m), k)
-        out.append((f"O(-{k})->P{m}", fan, P))
-    out.append(("Bl2P2", *_reflexive_blowup(2, 2)))
-    out.append(("Bl1P3", *_reflexive_blowup(3, 1)))
-    return out
-
-
-def _four_variable_ideal():
-    ring = Ring(("x", "y", "z", "w"))
-    x, y, z, w = (ring.var(i) for i in range(4))
-    return groebner_basis(
-        [x ** 3 + y ** 2 - z * w, y ** 3 - x * z + w ** 2, z ** 3 - x * y * w - 1, w ** 2 - x - y - z]
-    )
-
-
-def _random_poly(rng, ring, degree, terms):
-    out = ring.zero()
-    for _ in range(terms):
-        m = [0] * ring.nvars
-        for _ in range(rng.randint(0, degree)):
-            m[rng.randrange(ring.nvars)] += 1
-        out = out + ring.monomial(m, F(rng.randint(-4, 4), rng.randint(1, 3)))
-    return out
-
-
-def _random_ideal(rng, ring, extra):
-    """A pure power of each variable plus lower terms, so zero-dimensional;
-    half of them without constant terms, so the origin is a point of the
-    variety.  ``extra`` random generators mostly make it the whole ring."""
-    origin = rng.random() < 0.5
-    gens = []
-    for i in range(ring.nvars):
-        a = rng.randint(1, 3)
-        g = ring.var(i) ** a + _random_poly(rng, ring, a - 1, 3)
-        gens.append(Polynomial(ring, {m: c for m, c in g.terms.items() if any(m) or not origin}))
-    gens += [_random_poly(rng, ring, 2, 3) for _ in range(extra)]
-    return groebner_basis(gens)
-
-
 @pytest.fixture(scope="module")
 def algebras():
     """(label, quotient algebra, polynomials to multiply by)."""
     out = []
-    for name, fan, P in _ladder():
+    for name, fan, P in oracle_ladder():
         _, A = qh_presentation(fan, P)
         divisors = sum((A.ring.var(i) for i in range(A.ring.nvars)), A.ring.zero())
         omega = sum((-F(l) * A.ring.var(i) for i, l in enumerate(P.lambdas)), A.ring.zero())
@@ -155,14 +98,14 @@ def algebras():
         J = jacobian_ring(W)
         ring = J.algebra.ring
         out.append((f"Jac {name}", J.algebra, [_laurent_polynomial(ring, W.edges(), [1] * len(P.edges))]))
-    G = _four_variable_ideal()
+    G = groebner_basis(four_variable_generators())
     x, y, z, w = (G.ring.var(i) for i in range(4))
     out.append(("four-variable", quotient_algebra(G), [x * y * z * w - 2 * x + F(1, 3), w ** 3]))
     rng = random.Random(20261018)
     for case in range(40):
         ring = Ring(("a", "b", "c")[: 2 + case % 2])
-        A = quotient_algebra(_random_ideal(rng, ring, int(case % 8 == 0)))
-        out.append((f"random {case}", A, [_random_poly(rng, ring, 3, 4) for _ in range(2)]))
+        A = quotient_algebra(groebner_basis(random_ideal_generators(rng, ring, int(case % 8 == 0))))
+        out.append((f"random {case}", A, [random_poly(rng, ring, 3, 4) for _ in range(2)]))
     return out
 
 
@@ -210,7 +153,7 @@ def test_zero_algebra():
 
 
 def test_quotient_algebra_reads_no_normal_form(monkeypatch):
-    G = _four_variable_ideal()
+    G = groebner_basis(four_variable_generators())
     ref = _quotient_algebra(G)
 
     def refuse(*args, **kwargs):
