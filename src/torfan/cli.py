@@ -44,6 +44,7 @@ from .superpotential import (
     build_superpotential,
     critical_points,
     galkin_point,
+    is_morse,
     jacobian_ring,
     mirror_check,
     perturb_and_separate,
@@ -335,10 +336,11 @@ def _cmd_mirror(fan, P, options, args, spec=None):
 
 def _cmd_critical(fan, P, options, args, spec=None):
     W = build_superpotential(P)
-    points = critical_points(W, seed=args.seed)
+    J = jacobian_ring(W)
+    points = critical_points(W, seed=args.seed, jac=J)
     return {
         "count": len(points),
-        "morse": all(p.nondegenerate for p in points),
+        "morse": is_morse(points, J.dimension),
         "points": [
             {
                 "coordinates": [complex(c) for c in p.coordinates],

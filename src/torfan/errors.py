@@ -101,7 +101,10 @@ class NotSemisimple(TorfanError):
 
 
 class DerivativesCollide(TorfanError):
-    """First-order eigenvalue derivatives are not pairwise distinct."""
+    """First-order eigenvalue derivatives are not pairwise distinct: the
+    eigenvalues of Kato's reduced matrix repeat.  Exact on real families
+    (its charpoly is not squarefree); at a relative 1e-6 on complex
+    ones."""
 
 
 class ClusteringAmbiguous(TorfanError):

@@ -167,7 +167,9 @@ def groebner_basis(generators):
     pairs = set()
 
     def push_pair(i, j):
-        heapq.heappush(queue, (grevlex_key(mono_lcm(lms[i], lms[j])), i, j))
+        # (i, j) is unique, so the heap never compares the lcm itself
+        lcm = mono_lcm(lms[i], lms[j])
+        heapq.heappush(queue, (grevlex_key(lcm), i, j, lcm))
         pairs.add((i, j))
 
     for j in range(len(G)):
@@ -175,12 +177,10 @@ def groebner_basis(generators):
             push_pair(i, j)
 
     while queue:
-        _, i, j = heapq.heappop(queue)
+        _, i, j, lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        lmi, lmj = lms[i], lms[j]
-        lcm = mono_lcm(lmi, lmj)
         # product criterion: coprime leading monomials reduce to zero
-        if lcm == mono_mul(lmi, lmj):
+        if lcm == mono_mul(lms[i], lms[j]):
             continue
         # chain criterion: a third generator dividing the lcm whose two
         # pairs were already handled makes this pair redundant

@@ -1,8 +1,9 @@
 """Holomorphic matrix families and their spectral perturbation theory:
 contour-integral eigenprojections, eigenvalue tracking along a ray,
-total projections and their limits, reduced derivative spectra, the
-Grassmannian distance, and convergence of (generalized) eigenvector
-spans."""
+total projections and their limits, first-order derivative spectra by
+Kato's reduction process (exact on real families, numeric on complex
+ones), the Grassmannian distance, and convergence of (generalized)
+eigenvector spans."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,7 +72,8 @@ class MatrixFamily:
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        top = max([len(cell) for row in self.entries for cell in row] + [1])
+        # at least two levels, so coeffs[1] is A_1 even for a constant family
+        top = max([len(cell) for row in self.entries for cell in row] + [2])
         coeffs = np.zeros((top, self.size, self.size), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, cell in enumerate(row):
@@ -99,19 +101,13 @@ class MatrixFamily:
             A = A * x + c
         return A
 
-    def constant_term_rational(self):
-        """A(0) as an exact rational matrix, or None when any constant
-        coefficient has an imaginary part."""
-        rows = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                c = self.entries[i][j][0] if self.entries[i][j] else 0j
-                if abs(c.imag) > 0:
-                    return None
-                row.append(Fraction(c.real))
-            rows.append(row)
-        return rows
+    def rational_coefficient(self, d):
+        """The x^d coefficient (d <= 1) as an exact rational matrix, or
+        None when any entry has an imaginary part."""
+        C = self.coeffs[d]
+        if C.imag.any():
+            return None
+        return [[Fraction(c) for c in row] for row in C.real.tolist()]
 
 
 @dataclass
@@ -237,20 +233,20 @@ def track_eigenvalues(fam, ray=None):
 # -- exact spectral data of A(0) --------------------------------------
 
 
-def _generalized_projection_exact(N):
-    """Exact projection onto the generalized eigenspace of a rational
-    eigenvalue lam along the complementary invariant subspace, from the
-    exact shift N = A0 - lam I, with the algebraic multiplicity s of
-    lam (0 when lam is not an eigenvalue)."""
+def _spectral_basis_exact(N):
+    """(K, L, p) from the exact shift N = A0 - lam I: the columns of K
+    span the generalized eigenspace ker N^p (none when lam is not an
+    eigenvalue), and L is the first rows of C^-1 for C = [K | R], with R
+    spanning the invariant complement, so L K = I, L R = 0 and K L is the
+    projection onto the generalized eigenspace along that complement."""
     n = len(N)
     kernels, P, pivots = _kernel_chain(N)
-    K = kernels[-1]
     # the pivot columns of N^p span its column space, the complementary
     # invariant subspace
     R = [[P[i][j] for i in range(n)] for j in pivots]
-    C = transpose(K + R)
-    s = len(K)
-    return mat_mul([row[:s] for row in C], inverse(C)[:s]), s
+    C = transpose(kernels[-1] + R)
+    s = len(kernels[-1])
+    return [row[:s] for row in C], inverse(C)[:s], len(kernels) - 1
 
 
 def exact_jordan_blocks(A0, lam):
@@ -286,7 +282,7 @@ def _complete_basis(span, candidates):
 def _exact_shift(fam, lam):
     """A(0) - lam I as an exact rational matrix, or None when A(0) or
     lam is not real (the numeric fallbacks handle those)."""
-    A0 = fam.constant_term_rational()
+    A0 = fam.rational_coefficient(0)
     lam = complex(lam)
     if A0 is None or lam.imag or not np.isfinite(lam):
         return None
@@ -339,8 +335,8 @@ def total_projection_limit_check(fam, lam, ray=None):
     ray = list(ray) if ray is not None else default_ray()
     N = _exact_shift(fam, lam)
     if N is not None:
-        limit, m = _generalized_projection_exact(N)
-        limit = to_numpy(limit)
+        K, L, _ = _spectral_basis_exact(N)
+        limit, m = to_numpy(mat_mul(K, L)), len(L)
     else:
         A0 = fam(0.0)
         w = np.linalg.eigvals(A0)
@@ -367,56 +363,62 @@ def total_projection_limit_check(fam, lam, ray=None):
 
 
 def _check_semisimple(fam, lam):
-    """(m, E): the geometric multiplicity m of lam in A(0) and an array
-    E whose columns span the eigenspace.  Both are exact (E is the
-    exact kernel of A(0) - lam, converted) when A(0) and lam are real;
-    otherwise m comes from numeric ranks at tolerance 1e-8 and E from
-    the eigenvectors of A(0) with eigenvalue within 1e-8 of lam.
-    Raises NotSemisimple when lam carries a nontrivial Jordan block:
-    exactly, when ker (A(0) - lam)^2 is larger than ker (A(0) - lam)."""
+    """(K, L): the columns of K span the eigenspace of A(0) at lam and L
+    is its dual basis (L K = I, L zero on the other eigenspaces).  Exact
+    when A(0) and lam are real; otherwise numeric, from the eigenvectors
+    (K) and left eigenvectors Y (L = (Y^H K)^-1 Y^H) with eigenvalue
+    within 1e-8.  Raises NotSemisimple when lam carries a nontrivial
+    Jordan block (numerically: ranks at 1e-8), ValueError when lam is not
+    an eigenvalue."""
     N = _exact_shift(fam, lam)
     if N is not None:
-        kernels, _, _ = _kernel_chain(N)
-        if len(kernels) > 2:
+        K, L, depth = _spectral_basis_exact(N)
+        if depth > 1:
             raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-        return len(kernels[-1]), to_numpy(kernels[-1]).T
-    A0 = fam(0.0)
-    N = A0 - lam * np.eye(A0.shape[0])
-    r1 = np.linalg.matrix_rank(N, tol=1e-8)
-    r2 = np.linalg.matrix_rank(N @ N, tol=1e-8)
-    if r1 != r2:
-        raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-    w0, v0 = np.linalg.eig(A0)
-    return A0.shape[0] - r1, v0[:, np.abs(w0 - lam) < 1e-8]
+    else:
+        A0 = fam(0.0)
+        N = A0 - lam * np.eye(A0.shape[0])
+        if np.linalg.matrix_rank(N, tol=1e-8) != np.linalg.matrix_rank(N @ N, tol=1e-8):
+            raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
+        w, v = np.linalg.eig(A0)
+        wl, vl = np.linalg.eig(A0.conj().T)
+        K = v[:, np.abs(w - lam) < 1e-8]
+        Yh = vl[:, np.abs(wl - np.conj(lam)) < 1e-8].conj().T
+        L = np.linalg.solve(Yh @ K, Yh)
+    if not len(L):
+        raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
+    return K, L
+
+
+def _reduced_derivatives(fam, K, L):
+    """(values, distinct): the eigenvalues of L A_1 K in spectral_order
+    and whether they are pairwise distinct.  With K, L and A_1 exact they
+    are the roots of the irreducible factors of its charpoly (exact when
+    linear) and distinct means squarefree; else numeric, at a relative 1e-6."""
+    A1 = fam.rational_coefficient(1)
+    if isinstance(L, list) and A1 is not None:
+        factors = factor_rational_poly(charpoly(mat_mul(mat_mul(L, A1), K)))
+        values = []
+        for p, mult in factors:
+            coeffs = [float(p.coeff((k,))) for k in range(p.degree(), -1, -1)]
+            # a linear factor's 1 x 1 companion matrix holds its root exactly
+            values += mult * [complex(r) for r in np.roots(coeffs)]
+        return spectral_order(values), all(mult == 1 for _, mult in factors)
+    B = np.asarray(L, dtype=complex) @ fam.coeffs[1] @ np.asarray(K, dtype=complex)
+    values = spectral_order(np.linalg.eigvals(B))
+    scale = max([abs(v) for v in values] + [1.0])
+    gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
+    return values, all(g >= 1e-6 * scale for g in gaps)
 
 
 def derivative_spectrum(fam, lam, ray=None):
-    """First derivatives of the eigenvalue branches through a
-    semisimple eigenvalue, via the reduced family
-    (A(x) - lam) P_tot(x) / x, Richardson-extrapolated to 0."""
-    ray = list(ray) if ray is not None else default_ray()
-    m, _ = _check_semisimple(fam, lam)
-    return _derivative_spectrum(fam, lam, ray, m)
-
-
-def _derivative_spectrum(fam, lam, ray, m):
-    """derivative_spectrum for a lam already checked semisimple, with
-    geometric multiplicity m."""
-    samples = []
-    for x in ray:
-        A = fam(x)
-        w = np.linalg.eigvals(A)
-        P = eigenprojection(A, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
-        u, s, _ = np.linalg.svd(P)
-        Q = u[:, :m]
-        B = Q.conj().T @ ((A - lam * np.eye(A.shape[0])) / x) @ Q
-        samples.append(spectral_order(np.linalg.eigvals(B)))
-    # match the last two samples and extrapolate (ray halves each step)
-    prev, last = samples[-2], samples[-1]
-    out = [2 * v - prev[i] for v, (i, _, _) in zip(last, match_nearest(last, prev))]
-    # accurate to about 1e-8 (B divides by the last ray point): order by
-    # the values at 1e-6, so that error cannot order a pair d, -d
-    return spectral_order(out, key=lambda v: complex(round(v.real, 6), round(v.imag, 6)))
+    """First derivatives of the eigenvalue branches through a semisimple
+    eigenvalue lam of A(0) by Kato's reduction process (Perturbation
+    Theory for Linear Operators, II 2.3): the eigenvalues of the m x m
+    matrix L A_1 K, with K, L from _check_semisimple and A_1 the x^1
+    coefficient.  Exact when A(0), A_1 and lam are real, numeric when one
+    is complex.  `ray` is no longer read."""
+    return _reduced_derivatives(fam, *_check_semisimple(fam, lam))[0]
 
 
 # -- semisimple eigenline convergence ---------------------------------
@@ -438,13 +440,11 @@ def semisimple_convergence_check(fam, lam, ray=None):
     """Individual eigenprojections stay bounded and the eigenlines are
     Cauchy, with limits spanning the exact eigenspace of A(0)."""
     ray = list(ray) if ray is not None else default_ray()
-    m, eigenspace = _check_semisimple(fam, lam)
-    ders = _derivative_spectrum(fam, lam, ray, m)
-    scale = max([abs(v) for v in ders] + [1.0])
-    for i in range(len(ders)):
-        for j in range(i + 1, len(ders)):
-            if abs(ders[i] - ders[j]) < 1e-6 * scale:
-                raise DerivativesCollide(f"{ders[i]} vs {ders[j]}")
+    K, L = _check_semisimple(fam, lam)
+    ders, distinct = _reduced_derivatives(fam, K, L)
+    if not distinct:
+        raise DerivativesCollide(f"first-order derivatives {ders} repeat")
+    m = len(ders)
 
     lines = {j: [] for j in range(m)}
     norms = {j: [] for j in range(m)}
@@ -466,20 +466,12 @@ def semisimple_convergence_check(fam, lam, ray=None):
 
     norms_bounded = all(max(ns) <= 2.0 * ns[-1] + 1e-6 for ns in norms.values())
     cauchy = True
-    for j in range(m):
-        dists = [
-            subspace_distance(lines[j][k], lines[j][k + 1])
-            for k in range(len(ray) - 1)
-        ]
-        if dists and (dists[-1] > 1e-4 or any(
-            dists[k + 1] > dists[k] + 1e-6 for k in range(len(dists) - 1)
-        )):
-            cauchy = False
-    limits = np.column_stack(
-        [lines[j][-1].orthonormal_basis[:, 0] for j in range(m)]
-    )
-    span = Subspace.from_vectors(limits)
-    limit_distance = subspace_distance(span, Subspace.from_vectors(eigenspace))
+    for ls in lines.values():
+        d = [subspace_distance(a, b) for a, b in zip(ls, ls[1:])]
+        cauchy &= not (d and (d[-1] > 1e-4 or any(b > a + 1e-6 for a, b in zip(d, d[1:]))))
+    limits = np.column_stack([ls[-1].orthonormal_basis[:, 0] for ls in lines.values()])
+    eigenspace = Subspace.from_vectors(np.asarray(K, dtype=complex))
+    limit_distance = subspace_distance(Subspace.from_vectors(limits), eigenspace)
     return SemisimpleReport(ders, norms_bounded, cauchy, limit_distance)
 
 
@@ -542,16 +534,10 @@ def _canonical_eigenbasis(A, prev_groups):
         # orthonormal kernel basis of A - lam
         _, s, vh = np.linalg.svd(A - lam * np.eye(n))
         Q = vh.conj().T[:, -len(g):]
-        ref = None
-        if prev_groups:
-            ref = min(
-                prev_groups,
-                key=lambda t: abs(t[0] - lam)
-                if t[1].shape[1] == len(g)
-                else float("inf"),
-            )
-            ref = ref[1] if ref[1].shape[1] == len(g) else None
-        if ref is not None:
+        # the nearest previous group of the same size, if any
+        same = [t for t in prev_groups or () if t[1].shape[1] == len(g)]
+        if same:
+            ref = min(same, key=lambda t: abs(t[0] - lam))[1]
             U, _, _ = np.linalg.svd(Q.conj().T @ ref)
             Q = Q @ U
         for c in range(Q.shape[1]):
@@ -611,7 +597,7 @@ def gevec_convergence(fam, ray=None):
         clusters.setdefault(label[i], []).append(i)
 
     # exact Jordan blocks of A(0)
-    A0r = fam.constant_term_rational()
+    A0r = fam.rational_coefficient(0)
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
     blocks = []

@@ -42,6 +42,7 @@ __all__ = [
     "build_superpotential",
     "jacobian_ring",
     "critical_points",
+    "is_morse",
     "mirror_check",
     "family_closure_check",
     "barycentre_landing_check",
@@ -236,6 +237,13 @@ def critical_points(W, seed=0, coefficients=None, jac=None):
             )
         )
     return points
+
+
+def is_morse(points, jac_dimension):
+    """Whether W is Morse, judged from its critical points: every point
+    is nondegenerate and they number dim Jac(W), so a point that the
+    eigenvector step lost shows as a short count."""
+    return all(p.nondegenerate for p in points) and len(points) == jac_dimension
 
 
 def _close(z, w):
@@ -437,8 +445,7 @@ def perturb_and_separate(P, seed, radius=Fraction(1, 100)):
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
     ]
     report = SeparationReport(
-        morse=bool(pts) and all(p.nondegenerate for p in pts)
-        and len(pts) == J.dimension,
+        morse=is_morse(pts, J.dimension),
         min_gap=min(gaps) if gaps else float("inf"),
         min_abs_value=min((abs(v) for v in values), default=0.0),
         values=values,

@@ -296,6 +296,20 @@ def test_fractional_support_numbers_run_at_t_equal_one(capsys, tmp_path, doc, co
     assert json.loads(out)["results"]["ok"]
 
 
+def test_critical_is_not_morse_when_points_are_missing(capsys, tmp_path):
+    # dim Jac(W) = 52 here, but the eigenvector step finds fewer points
+    # (and numpy overflows on the way): the count falls short of the
+    # dimension, so W is not reported Morse
+    doc = {"rank": 2, "edges": [[1, 0], [0, 1], [-1, -50]],
+           "max_cones": [[1, 2], [2, 3], [3, 1]], "lambdas": ["0", "0", "-1"]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code, out, _ = run(capsys, "critical", "--input", str(path), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["count"] < 52 and results["morse"] is False
+
+
 # Runs the CLI with every import of sympy failing: sys.modules["sympy"]
 # = None makes "import sympy" raise ImportError.
 _WITHOUT_SYMPY = (

@@ -26,11 +26,7 @@ from torfan.exact_algebra import (
     zero_matrix,
 )
 from torfan.exact_algebra.linalg import _kernel, _kernel_chain
-from torfan.perturbation import (
-    MatrixFamily,
-    _check_semisimple,
-    _generalized_projection_exact,
-)
+from torfan.perturbation import MatrixFamily, _check_semisimple, _spectral_basis_exact
 
 F = Fraction
 
@@ -111,7 +107,8 @@ def test_kernel_chain_matches_powers(N):
     R, reference_pivots = rref(mat_pow(N, n))
     assert kernels[-1] == _kernel(R, reference_pivots, n)
     assert pivots == reference_pivots
-    assert _generalized_projection_exact(N) == _reference_projection(N)
+    K, L, depth = _spectral_basis_exact(N)
+    assert (mat_mul(K, L), len(L)) == _reference_projection(N) and depth == p
 
 
 def test_kernel_chain_inputs_cover_every_depth():
@@ -130,10 +127,11 @@ def test_exact_size_three_block_is_not_semisimple():
     )
     with pytest.raises(NotSemisimple):
         _check_semisimple(fam, 0)
-    # at a semisimple eigenvalue the eigenspace is the exact kernel
+    # at a semisimple eigenvalue K spans the exact kernel and L is dual to it
     diag = MatrixFamily.make([[(0,), (0,)], [(0,), (0, 1)]])
-    m, E = _check_semisimple(diag, 0)
-    assert m == 2 and E.shape == (2, 2)
+    K, L = _check_semisimple(diag, 0)
+    assert K == transpose(nullspace(zero_matrix(2, 2)))
+    assert mat_mul(L, K) == identity(2)
 
 
 def test_kato_reports_irrational_eigenvalues_at_zero(capsys, tmp_path):

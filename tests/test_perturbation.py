@@ -9,6 +9,7 @@ from torfan import perturbation
 from torfan.errors import (
     ClusterAmbiguous,
     ContourHitsSpectrum,
+    DerivativesCollide,
     DimensionMismatch,
     IdempotencyFailed,
     NotSemisimple,
@@ -43,7 +44,7 @@ THREE = MatrixFamily.make(
 def test_family_evaluation():
     A = UPPER(0.25)
     assert np.allclose(A, [[0.25, 1], [0, 0]])
-    A0 = UPPER.constant_term_rational()
+    A0 = UPPER.rational_coefficient(0)
     assert A0 == [[F(0), F(1)], [F(0), F(0)]]
 
 
@@ -221,8 +222,56 @@ def test_derivative_spectrum_semisimple_guard():
 
 def test_derivative_spectrum_values():
     fam = MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]])  # [[0,x],[x,0]]
-    ders = derivative_spectrum(fam, 0)
-    assert sorted(round(v.real, 6) for v in ders) == [-1.0, 1.0]
+    assert derivative_spectrum(fam, 0) == [1, -1]
+    # x [[1, 2], [1, 1]]: an irreducible reduced charpoly, X^2 - 2X - 1
+    fam = MatrixFamily.make([[(0, 1), (0, 2)], [(0, 1), (0, 1)]])
+    assert derivative_spectrum(fam, 0) == pytest.approx([1 - 2 ** 0.5, 1 + 2 ** 0.5])
+
+
+# A(0) = 0 (real) or i I (complex), A_1 = [[1, 1], [0, 1]]: A(0) is
+# semisimple, but the reduced matrix is a Jordan block with derivative 1 twice
+JORDAN_A1 = [
+    MatrixFamily.make([[(l, 1), (0, 1)], [(0,), (l, 1)]]) for l in (0, 1j)
+]
+
+
+@pytest.mark.parametrize("fam", JORDAN_A1, ids=["real", "complex"])
+def test_repeated_derivative_collides(fam):
+    lam = fam.entries[0][0][0]
+    assert derivative_spectrum(fam, lam) == pytest.approx([1, 1])
+    with pytest.raises(DerivativesCollide):
+        semisimple_convergence_check(fam, lam)
+
+
+def test_collision_is_exact_on_real_families():
+    # derivatives 1 and 1 + 2^-40: closer than the numeric test's 1e-6,
+    # but a squarefree reduced charpoly
+    near = MatrixFamily.make([[(0, 1), (0,)], [(0,), (0, 1 + 2.0 ** -40)]])
+    values, distinct = perturbation._reduced_derivatives(
+        near, *perturbation._check_semisimple(near, 0)
+    )
+    assert distinct and sorted(values, key=abs) == [1, 1 + 2.0 ** -40]
+    real = JORDAN_A1[0]
+    assert perturbation._reduced_derivatives(
+        real, *perturbation._check_semisimple(real, 0)
+    ) == ([1, 1], False)
+
+
+COMPLEX = MatrixFamily.make(
+    [[(1j,), (0, 1), (0, 1)], [(0, 1), (1j,), (0,)], [(0,), (0, 1), (2,)]]
+)  # A(0) = diag(i, i, 2) is not real, so no exact shift exists
+
+
+@pytest.mark.parametrize(
+    "fam, lam",
+    [(MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]]), 0), (COMPLEX, 1j)],
+    ids=["real", "complex"],
+)
+def test_derivative_spectrum_reads_no_contour(monkeypatch, fam, lam):
+    calls = []
+    monkeypatch.setattr(perturbation, "eigenprojection", lambda *a, **k: calls.append(a))
+    assert len(derivative_spectrum(fam, lam)) == 2
+    assert calls == []
 
 
 def test_semisimple_convergence():
@@ -232,10 +281,7 @@ def test_semisimple_convergence():
 
 
 def test_complex_constant_term_takes_the_numeric_branches():
-    # A(0) = diag(i, i, 2) is not real, so no exact shift exists
-    fam = MatrixFamily.make(
-        [[(1j,), (0, 1), (0, 1)], [(0, 1), (1j,), (0,)], [(0,), (0, 1), (2,)]]
-    )
+    fam = COMPLEX
     assert total_projection_limit_check(fam, 1j).ok
     rep = semisimple_convergence_check(fam, 1j)
     assert rep.ok
