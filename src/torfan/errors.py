@@ -75,14 +75,6 @@ class NewtonDiverged(TorfanError):
     """Newton polishing of a critical point diverged."""
 
 
-class ToleranceExceeded(TorfanError):
-    """A numeric cross-check exceeded its tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ContourHitsSpectrum(TorfanError):
     """A quadrature node on the contour is too close to an eigenvalue."""
 

@@ -1,23 +1,24 @@
 """Batyrev-style presentations of the quantum ring, localization
 models of symplectic cohomology, first-Chern/symplectic-class
-operators, root-of-unity family checks, the Novikov change-of-variable
-homomorphism, and eigenvalue transfer from base to total space."""
+operators, the Novikov change-of-variable homomorphism, and two
+spectral checks decided by exact characteristic-polynomial identities:
+root-of-unity families, and eigenvalue transfer from base to total
+space."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Inconsistent, NotMonotone, ToleranceExceeded, ValidationError
+from .errors import Inconsistent, NotMonotone, ValidationError
 from .exact_algebra import (
     Polynomial,
     Ring,
-    complex_eigen,
+    charpoly,
     groebner_basis,
     localize,
-    match_nearest,
+    mat_pow,
+    mat_scale,
     normal_form,
     quotient_algebra,
-    spectral_order,
-    to_numpy,
 )
 from .exact_algebra.linalg import _kernel_chain
 from .lattice_fan import batyrev_decompose, primitive_collections, validate_fan
@@ -176,18 +177,23 @@ def omega_operator(A, P):
     return A.operator(omega_class(A, P))
 
 
+def _nonzero_part(p):
+    """(d0, p / X^d0) for the largest power X^d0 dividing the nonzero
+    univariate polynomial p: the quotient carries the nonzero roots."""
+    d0 = min(m[0] for m in p.terms)
+    return d0, Polynomial(p.ring, {(m[0] - d0,): c for m, c in p.terms.items()})
+
+
 def eigen_family_check(char, lam_X):
     """Whether chi(x) = x^{d0} g(x^{lam_X}) exactly, and the cofactor
     g; the signature of eigenvalues coming in root-of-unity families."""
     if not char.terms:
         raise ValueError("zero polynomial has no family pattern")
-    exps = sorted(m[0] for m in char.terms)
-    d0 = exps[0]
-    holds = all((e - d0) % lam_X == 0 for e in exps)
+    d0, rest = _nonzero_part(char)
+    holds = all(m[0] % lam_X == 0 for m in rest.terms)
     if holds:
         g = Polynomial(
-            char.ring,
-            {((m[0] - d0) // lam_X,): c for m, c in char.terms.items()},
+            char.ring, {(m[0] // lam_X,): c for m, c in rest.terms.items()}
         )
     else:
         g = char.ring.zero()
@@ -228,53 +234,23 @@ def phi_check(presB, presE, phi):
     return True
 
 
-def _cluster(values):
-    """Greedy clustering of complex values within 1e-6 of the largest
-    modulus (or of 1); returns (center, count)."""
-    scale = max([abs(v) for v in values] + [1.0])
-    clusters = []
-    for v in spectral_order(values):
-        for idx, (center, cnt) in enumerate(clusters):
-            if abs(v - center) <= 1e-6 * scale:
-                clusters[idx] = ((center * cnt + v) / (cnt + 1), cnt + 1)
-                break
-        else:
-            clusters.append((v, 1))
-    return clusters
-
-
 def eigenvalue_transfer_check(omega_B, sh_omega_E, k, lam_B, qh_omega_E=None):
-    """Check that nonzero base eigenvalue families map onto total-space
-    families: (mu_E)^(lam_B - k) = (-k)^k mu_B^lam_B, with matching
-    multiplicities, plus exact dimension bookkeeping when the
-    total-space quantum operator is supplied."""
+    """Check exactly that nonzero base eigenvalue families map onto
+    total-space families: (mu_E)^(lam_B - k) = (-k)^k mu_B^lam_B, with
+    multiplicities in the ratio lam_B : lam_E.  With p_B the charpoly of
+    omega_B^lam_B with its power of X divided out and p_E the charpoly
+    of omega_E^lam_E / (-k)^k, that is p_B^lam_E == p_E^lam_B.  Adds
+    exact dimension bookkeeping when the total-space quantum operator is
+    supplied."""
     k = int(k)
     if not 1 <= k <= lam_B - 1:
         raise NotMonotone(f"need 1 <= k <= {lam_B - 1}, got {k}")
     lam_E = lam_B - k
-    eigs_B = complex_eigen(to_numpy(omega_B))[0]
-    eigs_E = complex_eigen(to_numpy(sh_omega_E))[0]
-
-    zero_tol = 1e-8 * max([abs(v) for v in eigs_B + eigs_E] + [1.0])
-    inv_B = [v ** lam_B for v in eigs_B if abs(v) > zero_tol]
-    inv_E = [v ** lam_E / float((-k) ** k) for v in eigs_E if abs(v) > zero_tol]
-    if len(eigs_E) != len(inv_E):
-        return False  # localization left a zero eigenvalue behind
-    cl_B = _cluster(inv_B)
-    cl_E = _cluster(inv_E)
-    if len(cl_B) != len(cl_E):
+    p_B = _nonzero_part(charpoly(mat_pow(omega_B, lam_B)))[1]
+    p_E = charpoly(mat_scale(mat_pow(sh_omega_E, lam_E), Fraction(1, (-k) ** k)))
+    # p_B(0) != 0, so a zero eigenvalue left behind by localization fails
+    if p_B ** lam_E != p_E ** lam_B:
         return False
-
-    worst = 0.0
-    matches = match_nearest([c for c, _ in cl_B], [c for c, _ in cl_E])
-    for (center, cnt), (idx, dist, _) in zip(cl_B, matches):
-        worst = max(worst, dist)
-        if dist > 1e-8 * max(1.0, abs(center)):
-            raise ToleranceExceeded(
-                f"family invariant mismatch {dist:.3e}", residual=worst
-            )
-        if cnt * lam_E != cl_E[idx][1] * lam_B:
-            return False
 
     if qh_omega_E is not None:
         kernel = len(_kernel_chain(qh_omega_E)[0][-1])

@@ -1,8 +1,10 @@
 """Superpotentials from moment polytopes: Jacobian rings by
 saturation, critical points via multiplication-matrix eigenvectors with
-Newton polish, mirror comparisons, root-of-unity family closure,
-barycentre landing, the positive critical point of convex fans, and
-generic separation of critical values under perturbation."""
+Newton polish, mirror comparisons (the spectral clause as an exact
+characteristic-polynomial identity), barycentre landing (exact: a
+critical point exists iff Jac(W) != 0), the positive critical point of
+convex fans, and generic separation of critical values under
+perturbation."""
 
 import random
 from dataclasses import dataclass
@@ -21,9 +23,7 @@ from .errors import (
 from .exact_algebra import (
     Ring,
     charpoly,
-    complex_eigen,
     groebner_basis,
-    match_nearest,
     normal_form,
     quotient_algebra,
     to_numpy,
@@ -31,7 +31,7 @@ from .exact_algebra import (
 from .exact_algebra.linalg import _clear_rows
 from .lattice_fan import batyrev_decompose, primitive_collections
 from .polytope import barycentre
-from .quantum_algebra import c1_operator
+from .quantum_algebra import _nonzero_part, c1_operator
 
 __all__ = [
     "Superpotential",
@@ -44,7 +44,6 @@ __all__ = [
     "critical_points",
     "is_morse",
     "mirror_check",
-    "family_closure_check",
     "barycentre_landing_check",
     "galkin_point",
     "perturb_and_separate",
@@ -93,9 +92,6 @@ class JacAlgebra:
     @property
     def dimension(self):
         return self.algebra.dimension
-
-    def eigenvalues(self):
-        return complex_eigen(to_numpy(self.W_matrix))[0]
 
 
 def build_superpotential(P):
@@ -259,7 +255,6 @@ class MirrorReport:
     derivative_match: bool
     dimension_match: bool
     eigenvalue_match: bool
-    worst_eigen_residual: float
 
     @property
     def ok(self):
@@ -280,10 +275,9 @@ def mirror_check(fan, P, A, J, sh_algebra=None):
     x_i -> z^{e_i} at t = 1, to zero in the Jacobian ring J;
     (c) dimensions agree (against the localized algebra when given);
     (d) nonzero first-Chern eigenvalues match the eigenvalues of
-    multiplication by the superpotential: exactly, as the two
-    characteristic polynomials with their powers of X divided out, and
-    numerically, to 1e-8 of the largest modulus, which gives the worst
-    residual.
+    multiplication by the superpotential, with multiplicities: the two
+    characteristic polynomials with their powers of X divided out are
+    equal.
     """
     lambdas = P.lambdas
     # (a): z-exponents match by the decomposition, t-exponents by the
@@ -318,20 +312,8 @@ def mirror_check(fan, P, A, J, sh_algebra=None):
     dim_ok = quantum.dimension == J.dimension
     # (d)
     c1 = c1_operator(quantum, P)
-    eig_q = complex_eigen(to_numpy(c1))[0]
-    eig_w = J.eigenvalues()
-    scale = max([abs(v) for v in list(eig_q) + list(eig_w)] + [1.0])
-    nz_q = [v for v in eig_q if abs(v) > 1e-8 * scale]
-    nz_w = [v for v in eig_w if abs(v) > 1e-8 * scale]
-    worst = float("inf") if len(nz_q) != len(nz_w) else 0.0
-    eig_ok = len(nz_q) == len(nz_w)
-    if eig_ok:
-        # greedy nearest matching: sorting by magnitude is unstable when
-        # distinct eigenvalues share the same modulus
-        worst = max((d for _, d, _ in match_nearest(nz_q, nz_w)), default=0.0)
-        eig_ok = worst <= 1e-8 * scale
-    eig_ok = eig_ok and _nonzero_part(charpoly(c1)) == _nonzero_part(charpoly(J.W_matrix))
-    report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok, worst)
+    eig_ok = _nonzero_part(charpoly(c1))[1] == _nonzero_part(charpoly(J.W_matrix))[1]
+    report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok)
     if not report.ok:
         failing = [
             name
@@ -347,41 +329,15 @@ def mirror_check(fan, P, A, J, sh_algebra=None):
     return report
 
 
-def _nonzero_part(p):
-    """Terms of a univariate polynomial divided by its largest power of X:
-    the factor that carries the nonzero roots."""
-    low = min(m[0] for m in p.terms)
-    return {(m[0] - low,): c for m, c in p.terms.items()}
-
-
-def family_closure_check(values, lam_X):
-    """True when the multiset of critical values is invariant under
-    multiplication by the primitive lam_X-th root of unity, to 1e-8 of
-    the largest modulus."""
-    values = [complex(v) for v in values]
-    zeta = np.exp(2j * np.pi / lam_X)
-    scale = max([abs(v) for v in values] + [1.0])
-    matches = match_nearest([zeta * v for v in values], values)
-    return all(d <= 1e-8 * scale for _, d, _ in matches)
-
-
 def barycentre_landing_check(P, lam_X):
     """Exact exponent identity <y, e_i> - lambda_i = 1/lam_X at the
-    barycentre, plus existence of critical points of the unit-
-    coefficient superpotential."""
+    barycentre, plus existence of a critical point on the torus of the
+    unit-coefficient superpotential, which holds iff Jac(W) != 0."""
     y = barycentre(P, lam_X)
     for e, l in zip(P.edges, P.lambdas):
         if sum(Fraction(a) * b for a, b in zip(e, y)) - l != Fraction(1, lam_X):
             return False
-    pts = critical_points(build_superpotential(P))
-    if not pts:
-        return False
-    E = np.array(P.edges)
-    for p in pts:
-        g = _log_gradient(E, np.ones(len(E)), p.coordinates)
-        if np.linalg.norm(g) > 1e-8:
-            return False
-    return True
+    return jacobian_ring(build_superpotential(P)).dimension > 0
 
 
 def galkin_point(fan):

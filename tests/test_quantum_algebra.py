@@ -99,19 +99,42 @@ def test_phi_map(p2):
     assert not phi_check(pres_B, pres_E, wrong)
 
 
-def test_eigenvalue_transfer(p1xp1):
-    fan, P = p1xp1
-    fan_E, P_E, spec = nlb_from_k(fan, P, 1)
+def _transfer_operators(fan, P, k):
+    """omega on the base's QH, on SH of O(-k), and on QH of O(-k)."""
+    fan_E, P_E, spec = nlb_from_k(fan, P, k)
     _, A_B = qh_presentation(fan, P)
     _, A_E = qh_presentation(fan_E, P_E)
     SH = sh_presentation(A_E, [_fiber_class(A_E.ring, spec.n)])
-    assert eigenvalue_transfer_check(
-        omega_operator(A_B, P),
-        omega_operator(SH, P_E),
-        1,
-        2,
-        qh_omega_E=omega_operator(A_E, P_E),
-    )
+    return omega_operator(A_B, P), omega_operator(SH, P_E), omega_operator(A_E, P_E)
+
+
+def test_eigenvalue_transfer(p1xp1):
+    fan, P = p1xp1
+    omega_B, sh_omega_E, qh_omega_E = _transfer_operators(fan, P, 1)
+    assert eigenvalue_transfer_check(omega_B, sh_omega_E, 1, 2, qh_omega_E=qh_omega_E)
+
+
+def test_eigenvalue_transfer_is_exact(p2):
+    fan, P = p2
+    omega_B, sh_omega_E, qh_omega_E = _transfer_operators(fan, P, 1)
+    assert eigenvalue_transfer_check(omega_B, sh_omega_E, 1, 3, qh_omega_E=qh_omega_E)
+    # a float match within 1e-6 cannot see a move of 1e-12
+    sh_omega_E[0][0] += F(1, 10 ** 12)
+    assert not eigenvalue_transfer_check(omega_B, sh_omega_E, 1, 3)
+
+
+def test_eigenvalue_transfer_sees_multiplicities_and_twist(p2):
+    fan, P = p2
+    omega_B, sh_omega_E, qh_omega_E = _transfer_operators(fan, P, 1)
+    # the unlocalized operator keeps its zero eigenvalues
+    assert not eigenvalue_transfer_check(omega_B, qh_omega_E, 1, 3)
+    # the same roots with a doubled base multiplicity
+    doubled = [row + [F(0)] * 3 for row in omega_B] + [
+        [F(0)] * 3 + row for row in omega_B
+    ]
+    assert not eigenvalue_transfer_check(doubled, sh_omega_E, 1, 3)
+    # the total space of O(-1) read with the twist of O(-2)
+    assert not eigenvalue_transfer_check(omega_B, sh_omega_E, 2, 3)
 
 
 def test_eigenvalue_transfer_rejects_bad_twist(p1xp1):

@@ -14,6 +14,8 @@ from torfan.bundle_blowup import blowup_point, nlb_from_k
 from torfan.errors import HalfSpaceFan, MirrorMismatch
 from torfan.exact_algebra import (
     Polynomial,
+    charpoly,
+    complex_eigen,
     groebner_basis,
     identity,
     inverse,
@@ -22,11 +24,12 @@ from torfan.exact_algebra import (
     mat_scale,
     match_nearest,
     quotient_algebra,
+    to_numpy,
     zero_matrix,
 )
 from torfan.lattice_fan import Fan
 from torfan.polytope import MomentPolytope
-from torfan.quantum_algebra import qh_presentation, sh_presentation
+from torfan.quantum_algebra import eigen_family_check, qh_presentation, sh_presentation
 from torfan.superpotential import (
     JacAlgebra,
     _hessian,
@@ -35,7 +38,6 @@ from torfan.superpotential import (
     barycentre_landing_check,
     build_superpotential,
     critical_points,
-    family_closure_check,
     galkin_point,
     jacobian_ring,
     mirror_check,
@@ -241,17 +243,21 @@ def test_mirror_eigenvalue_match_is_exact(p2):
     moved = [row[:] for row in J.W_matrix]
     moved[0][0] += F(1, 10 ** 12)
     # the float match alone cannot see the move
-    eig, eig_moved = J.eigenvalues(), JacAlgebra(J.algebra, moved).eigenvalues()
+    eig = complex_eigen(to_numpy(J.W_matrix))[0]
+    eig_moved = complex_eigen(to_numpy(moved))[0]
     assert max(d for _, d, _ in match_nearest(eig_moved, eig)) < 1e-8
     with pytest.raises(MirrorMismatch, match="^eigenvalue match$"):
         mirror_check(fan, P, A, JacAlgebra(J.algebra, moved))
 
 
-def test_family_closure(p2):
+def test_family_closure(p2, p1xp1):
     _, P = p2
-    pts = critical_points(build_superpotential(P), seed=0)
-    assert family_closure_check([p.value for p in pts], 3)
-    assert not family_closure_check([1.0, 2.0], 3)
+    J = jacobian_ring(build_superpotential(P))
+    assert eigen_family_check(charpoly(J.W_matrix), 3).holds
+    # critical values of (P^1)^2 are 0, 0, 4, -4: no 3-fold families
+    _, Q = p1xp1
+    J = jacobian_ring(build_superpotential(Q))
+    assert not eigen_family_check(charpoly(J.W_matrix), 3).holds
 
 
 def test_barycentre_landing(p2):
