@@ -78,19 +78,12 @@ class PrimitiveRelation:
     curve_class: CurveClass
 
 
-def _is_primitive_vector(e):
-    g = 0
-    for x in e:
-        g = gcd(g, x)
-    return g == 1
-
-
 def _check_structure(fan):
     n = fan.rank
     for e in fan.edges:
         if len(e) != n:
             raise ValidationError(f"edge {e} has wrong length")
-        if not _is_primitive_vector(e):
+        if gcd(*e) != 1:
             raise ValidationError(f"edge {e} is not primitive")
     for cone in fan.max_cones:
         if any(i < 0 or i >= len(fan.edges) for i in cone):

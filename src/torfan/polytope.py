@@ -45,10 +45,7 @@ class MomentPolytope:
         for e in edges:
             if len(e) != rank:
                 raise ValidationError(f"edge {e} has wrong length")
-            g = 0
-            for x in e:
-                g = gcd(g, x)
-            if g != 1:
+            if gcd(*e) != 1:
                 raise ValidationError(f"edge {e} is not primitive")
         return MomentPolytope(rank, edges, lambdas)
 

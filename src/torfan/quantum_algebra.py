@@ -98,8 +98,8 @@ class PhiMap:
 
 def qh_presentation(fan, P):
     """Linear relations and quantum monomial relations of a smooth fan
-    with its polytope; returns the presentation (T symbolic) and the
-    quotient algebra at T=1."""
+    with its polytope, c1 >= 0 on every primitive collection; returns the
+    presentation (T symbolic) and the quotient algebra at T=1."""
     report = validate_fan(fan)
     if not report.smooth:
         raise ValidationError("presentation requires a smooth fan")
@@ -121,6 +121,11 @@ def qh_presentation(fan, P):
     qsr = []
     for I in sorted(primitive_collections(fan), key=sorted):
         rel = batyrev_decompose(fan, I, lambdas=P.lambdas)
+        if rel.curve_class.c1 < 0:
+            raise ValidationError(
+                f"primitive collection {sorted(i + 1 for i in I)}"
+                f" has c1 = {rel.curve_class.c1} < 0"
+            )
         lhs = ring.one()
         for i in sorted(I):
             lhs = lhs * xs[i]

@@ -1,10 +1,10 @@
 """Superpotentials from moment polytopes: Jacobian rings by
 saturation, critical points via multiplication-matrix eigenvectors with
-Newton polish, mirror comparisons (the spectral clause as an exact
-characteristic-polynomial identity), barycentre landing (exact: a
-critical point exists iff Jac(W) != 0), the positive critical point of
-convex fans, and generic separation of critical values under
-perturbation."""
+Newton polish, the mirror comparison (an explicit exact isomorphism
+psi: x_i -> z^{e_i} from the quantum side onto the Jacobian ring),
+barycentre landing (exact: a critical point exists iff Jac(W) != 0),
+the positive critical point of convex fans, and generic separation of
+critical values under perturbation."""
 
 import random
 from dataclasses import dataclass
@@ -22,16 +22,14 @@ from .errors import (
 )
 from .exact_algebra import (
     Ring,
-    charpoly,
     groebner_basis,
-    normal_form,
     quotient_algebra,
+    rank,
     to_numpy,
 )
 from .exact_algebra.linalg import _clear_rows
 from .lattice_fan import batyrev_decompose, primitive_collections
 from .polytope import barycentre
-from .quantum_algebra import _nonzero_part, c1_operator
 
 __all__ = [
     "Superpotential",
@@ -82,12 +80,9 @@ class CriticalPoint:
 
 @dataclass
 class JacAlgebra:
-    """Quotient model of the Laurent Jacobian ideal (variables z_i plus
-    the saturation variable u) and the multiplication matrix of the
-    superpotential itself."""
+    """Quotient model of the Laurent Jacobian ideal in z_i and u = (z_1...z_n)^-1."""
 
     algebra: object
-    W_matrix: list
 
     @property
     def dimension(self):
@@ -119,9 +114,8 @@ def _laurent_polynomial(ring, edges, coeffs):
 
 def jacobian_ring(W, coefficients=None):
     """Quotient by the logarithmic-derivative ideal z_j dW/dz_j,
-    saturated by u with u z_1...z_n = 1, and the matrix of W on it.
-    W's coefficients are 1 (t = 1) unless given; u clears the negative
-    exponents of both the generators and W."""
+    saturated by u with u z_1...z_n = 1.  W's coefficients are 1 (t = 1)
+    unless given; u clears the negative exponents of the generators."""
     edges = W.edges()
     coeffs = _coefficients(W, coefficients)
     ring = _laurent_ring(W.rank)
@@ -131,8 +125,7 @@ def jacobian_ring(W, coefficients=None):
     ]
     gens = [g for g in gens if g]
     gens.append(ring.monomial((1,) * (W.rank + 1)) - 1)
-    A = quotient_algebra(groebner_basis(gens))
-    return JacAlgebra(A, A.operator(_laurent_polynomial(ring, edges, coeffs)))
+    return JacAlgebra(quotient_algebra(groebner_basis(gens)))
 
 
 # -- numeric Laurent evaluation ---------------------------------------
@@ -266,19 +259,47 @@ class MirrorReport:
         )
 
 
+def _sparse_columns(M):
+    """Each column of M as a map from row to nonzero entry."""
+    return [{i: a for i, a in enumerate(col) if a} for col in zip(*M)]
+
+
+def _apply(M, v):
+    """M v, with M's columns and v as maps from row to nonzero entry."""
+    out = {}
+    for j, c in v.items():
+        for i, a in M[j].items():
+            out[i] = out.get(i, 0) + a * c
+    return {i: a for i, a in out.items() if a}
+
+
+def _psi(Q, J, Z):
+    """psi's sparse columns, x^b as Z_k x^(b - e_k) for the first k with b_k > 0."""
+    memo = {}
+
+    def column(b):
+        if not any(b):
+            return {J.basis.index((0,) * J.ring.nvars): Fraction(1)}
+        if b not in memo:
+            k = next(i for i, e in enumerate(b) if e)
+            memo[b] = _apply(Z[k], column(b[:k] + (b[k] - 1,) + b[k + 1 :]))
+        return memo[b]
+
+    return [column(b) for b in Q.basis]
+
+
 def mirror_check(fan, P, A, J, sh_algebra=None):
-    """Compare the quantum side with the Jacobian ring.
+    """Compare the quantum side Q (``sh_algebra`` when given, else A)
+    with the Jacobian ring J at t = 1; psi's column at Q's basis monomial
+    x^b holds Z^b 1_J, Z_i the matrix of z^{e_i} on J and X_i that of x_i on Q.
 
     (a) each quantum monomial relation maps to an exact Laurent
     monomial identity under x_i -> t^{-lambda_i} z^{e_i};
-    (b) each linear relation sum_i e_ij x_i of the fan maps, under
-    x_i -> z^{e_i} at t = 1, to zero in the Jacobian ring J;
-    (c) dimensions agree (against the localized algebra when given);
-    (d) nonzero first-Chern eigenvalues match the eigenvalues of
-    multiplication by the superpotential, with multiplicities: the two
-    characteristic polynomials with their powers of X divided out are
-    equal.
-    """
+    (b) psi X_i = Z_i psi for every i, so every relation of Q vanishes in J;
+    (c) dim Q = dim J; (d) rank psi = dim J.  Then psi is an isomorphism
+    of cyclic Q[x]-modules, hence of algebras, x_i -> z^{e_i}, and
+    c1 = sum x_i is conjugate to W.  (b) and (d) fail unless (c) holds
+    and J is a ring of Laurent polynomials in fan.rank variables."""
     lambdas = P.lambdas
     # (a): z-exponents match by the decomposition, t-exponents by the
     # curve-class area identity; verify both exactly.
@@ -296,23 +317,19 @@ def mirror_check(fan, P, A, J, sh_algebra=None):
         )
         if lhs_z != rhs_z or lhs_t != rhs_t:
             mono_ok = False
-    # (b): the image of the j-th linear relation, cleared of negative
-    # exponents by u, reduces to zero modulo J's Groebner basis; J must
-    # be a ring of Laurent polynomials in fan.rank variables.
-    ring = J.algebra.ring
-    deriv_ok = len(ring.names) == fan.rank + 1 and all(
-        not normal_form(
-            _laurent_polynomial(ring, fan.edges, [e[j] for e in fan.edges]),
-            J.algebra.groebner,
-        )
-        for j in range(fan.rank)
-    )
-    # (c)
     quantum = sh_algebra if sh_algebra is not None else A
     dim_ok = quantum.dimension == J.dimension
-    # (d)
-    c1 = c1_operator(quantum, P)
-    eig_ok = _nonzero_part(charpoly(c1))[1] == _nonzero_part(charpoly(J.W_matrix))[1]
+    deriv_ok = eig_ok = False
+    ring = J.algebra.ring
+    if dim_ok and len(ring.names) == fan.rank + 1:
+        monomials = [_laurent_polynomial(ring, [e], [1]) for e in fan.edges]
+        Z = [_sparse_columns(J.algebra.operator(m)) for m in monomials]
+        X = [_sparse_columns(quantum.mult_matrices[name]) for name in quantum.ring.names]
+        psi = _psi(quantum, J.algebra, Z)
+        deriv_ok = all(
+            _apply(psi, x) == _apply(Zi, c) for Xi, Zi in zip(X, Z) for x, c in zip(Xi, psi)
+        )
+        eig_ok = rank([[c.get(i, 0) for c in psi] for i in range(J.dimension)]) == J.dimension
     report = MirrorReport(mono_ok, deriv_ok, dim_ok, eig_ok)
     if not report.ok:
         failing = [

@@ -9,8 +9,10 @@ import pytest
 from conftest import ideal_equal
 from torfan.bundle_blowup import nlb_from_k
 from torfan.cli import parse_fan_document
-from torfan.errors import NotMonotone
+from torfan.errors import NotMonotone, ValidationError
 from torfan.exact_algebra import char_min_poly, jordan_profile
+from torfan.lattice_fan import Fan
+from torfan.polytope import MomentPolytope
 from torfan.quantum_algebra import (
     PhiMap,
     eigen_family_check,
@@ -48,6 +50,20 @@ def test_product_presentation(p1xp1):
     chi, mu = char_min_poly(omega_operator(A, P))
     assert chi.pretty() == "X^4 - 4*X^2"
     assert mu.pretty() == "X^3 - 4*X"
+
+
+def _hirzebruch(a):
+    edges = [(1, 0), (0, 1), (-1, a), (0, -1)]
+    fan = Fan.make(2, edges, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return fan, MomentPolytope.make(2, edges, [0, 0, -1 - a, -1])
+
+
+def test_presentation_needs_nonnegative_c1_on_primitive_collections():
+    # on F_a the collection {1, 3} has x1 x3 = T^{2-a} x2^a
+    _, A = qh_presentation(*_hirzebruch(2))
+    assert A.dimension == 4
+    with pytest.raises(ValidationError, match=r"^primitive collection \[1, 3\] has c1 = -1 < 0$"):
+        qh_presentation(*_hirzebruch(3))
 
 
 def test_classical_limit(p2):

@@ -14,25 +14,29 @@ from torfan.bundle_blowup import blowup_point, nlb_from_k
 from torfan.errors import HalfSpaceFan, MirrorMismatch
 from torfan.exact_algebra import (
     Polynomial,
+    QuotientAlgebra,
     charpoly,
-    complex_eigen,
     groebner_basis,
     identity,
     inverse,
     mat_add,
     mat_mul,
     mat_scale,
-    match_nearest,
     quotient_algebra,
-    to_numpy,
     zero_matrix,
 )
 from torfan.lattice_fan import Fan
 from torfan.polytope import MomentPolytope
-from torfan.quantum_algebra import eigen_family_check, qh_presentation, sh_presentation
+from torfan.quantum_algebra import (
+    eigen_family_check,
+    qh_presentation,
+    sh_presentation,
+    symplectic_cohomology,
+)
 from torfan.superpotential import (
     JacAlgebra,
     _hessian,
+    _laurent_polynomial,
     _laurent_ring,
     _log_gradient,
     barycentre_landing_check,
@@ -184,7 +188,8 @@ def test_jacobian_ring_matches_shifted_generators_and_inverse_operator():
         coeffs = coeffs or [F(1)] * len(P.edges)
         G = groebner_basis(_shifted_generators(_laurent_ring(P.rank), P.edges, coeffs))
         assert J.algebra.groebner == G
-        assert J.W_matrix == _inverse_operator(quotient_algebra(G), P.edges, coeffs)
+        W_matrix = J.algebra.operator(_laurent_polynomial(J.algebra.ring, P.edges, coeffs))
+        assert W_matrix == _inverse_operator(quotient_algebra(G), P.edges, coeffs)
 
 
 def test_critical_points_deterministic(p1xp1):
@@ -236,28 +241,47 @@ def test_mirror_derivative_match_sees_coefficients(p2):
         mirror_check(fan, P, A, J)
 
 
-def test_mirror_eigenvalue_match_is_exact(p2):
+def test_mirror_isomorphism_sees_one_entry_of_z1(p2):
+    # psi intertwines every x_i with z^{e_i}, so one entry of z1's matrix
+    # moved by 10^-12 breaks clause (b), on a closed space and on SH of a
+    # bundle alike
     fan, P = p2
+    fan_E, P_E, _ = nlb_from_k(fan, P, 1)
+    for fan, P, localized in ((fan, P, False), (fan_E, P_E, True)):
+        _, A = qh_presentation(fan, P)
+        SH = symplectic_cohomology(A) if localized else None
+        J = jacobian_ring(build_superpotential(P))
+        assert mirror_check(fan, P, A, J, sh_algebra=SH).ok
+        J.algebra.mult_matrices["z1"][0][0] += F(1, 10 ** 12)
+        with pytest.raises(MirrorMismatch, match="derivative match"):
+            mirror_check(fan, P, A, J, sh_algebra=SH)
+
+
+def test_mirror_eigenvalue_match_is_the_rank_of_psi():
+    # z1 and u both act as the identity on a 2-dimensional J: every
+    # x^b goes to 1_J, so psi intertwines but has rank 1
+    fan, P = projective_space(1)
     _, A = qh_presentation(fan, P)
-    J = jacobian_ring(build_superpotential(P))
-    moved = [row[:] for row in J.W_matrix]
-    moved[0][0] += F(1, 10 ** 12)
-    # the float match alone cannot see the move
-    eig = complex_eigen(to_numpy(J.W_matrix))[0]
-    eig_moved = complex_eigen(to_numpy(moved))[0]
-    assert max(d for _, d, _ in match_nearest(eig_moved, eig)) < 1e-8
+    ring = _laurent_ring(1)
+    J = JacAlgebra(
+        QuotientAlgebra(ring, [(0, 0), (1, 0)], {"z1": identity(2), "u": identity(2)})
+    )
     with pytest.raises(MirrorMismatch, match="^eigenvalue match$"):
-        mirror_check(fan, P, A, JacAlgebra(J.algebra, moved))
+        mirror_check(fan, P, A, J)
 
 
 def test_family_closure(p2, p1xp1):
     _, P = p2
-    J = jacobian_ring(build_superpotential(P))
-    assert eigen_family_check(charpoly(J.W_matrix), 3).holds
+    assert eigen_family_check(charpoly(_W_matrix(P)), 3).holds
     # critical values of (P^1)^2 are 0, 0, 4, -4: no 3-fold families
     _, Q = p1xp1
-    J = jacobian_ring(build_superpotential(Q))
-    assert not eigen_family_check(charpoly(J.W_matrix), 3).holds
+    assert not eigen_family_check(charpoly(_W_matrix(Q)), 3).holds
+
+
+def _W_matrix(P):
+    """Matrix of the unit-coefficient superpotential on its Jacobian ring."""
+    A = jacobian_ring(build_superpotential(P)).algebra
+    return A.operator(_laurent_polynomial(A.ring, P.edges, [1] * len(P.edges)))
 
 
 def test_barycentre_landing(p2):
