@@ -95,23 +95,18 @@ def _warn_if_not_monotone(P, I, epsilon):
 
 
 def blowup_point(fan, P, cone_index, epsilon=None):
-    """Blow up the fixed point of a full-dimensional maximal cone:
-    append the edge sum of the cone and replace the cone by its star
-    subdivision; chop the polytope accordingly."""
+    """Blow up the fixed point of a full-dimensional maximal cone: the
+    face blow-up along that cone."""
     cone = fan.max_cones[cone_index]
-    n = fan.rank
-    if len(cone) != n:
+    if len(cone) != fan.rank:
         raise NotAFace("point blow-up needs a full-dimensional cone")
-    if epsilon is None:
-        epsilon = monotone_epsilon(cone)
-    _warn_if_not_monotone(P, cone, epsilon)
-    new_fan = _star_subdivide(fan, set(cone))
-    new_P = chop(P, cone, epsilon)
-    return new_fan, new_P
+    return blowup_face(fan, P, cone, epsilon)
 
 
 def blowup_face(fan, P, I, epsilon=None):
-    """Blow up along the toric subvariety of a codimension-|I| face."""
+    """Blow up along the toric subvariety of a codimension-|I| face:
+    append the edge sum of I, star-subdivide every maximal cone
+    containing I, and chop the polytope accordingly."""
     I = sorted(set(I))
     if len(I) < 2:
         raise NotAFace("face blow-up needs at least two facets")

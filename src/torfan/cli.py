@@ -14,16 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundle_blowup import blowup_face, blowup_point, nlb_from_k
-from .errors import ClusterAmbiguous, ParseError, TorfanError, Unbounded, ValidationError
+from .bundle_blowup import blowup_face, nlb_from_k
+from .errors import ParseError, TorfanError, Unbounded, ValidationError
 from .exact_algebra import char_min_poly, complex_eigen, spectral_order, to_numpy
 from .lattice_fan import Fan, primitive_collections, validate_fan
 from .perturbation import (
     MatrixFamily,
-    _cluster_radius,
     default_ray,
-    eigenprojection,
     gevec_convergence,
+    pole_exponent,
     track_eigenvalues,
 )
 from .polytope import (
@@ -385,11 +384,7 @@ def _cmd_blowup(fan, P, options, args, spec=None):
     if args.epsilon is not None:
         epsilon = args.epsilon
     before = len(vertices(P).vertices)
-    if tuple(sorted(I)) in {tuple(sorted(c)) for c in fan.max_cones}:
-        idx = [tuple(sorted(c)) for c in fan.max_cones].index(tuple(sorted(I)))
-        new_fan, new_P = blowup_point(fan, P, idx, epsilon)
-    else:
-        new_fan, new_P = blowup_face(fan, P, I, epsilon)
+    new_fan, new_P = blowup_face(fan, P, I, epsilon)
     return {
         "vertex_count_before": before,
         "vertex_count_after": len(vertices(new_P).vertices),
@@ -411,24 +406,6 @@ def _cmd_separate(fan, P, options, args, spec=None):
     }
 
 
-def _pole_exponent(fam, path):
-    """Least-squares slope of log ||P(x)|| against log x over the tail
-    of the ray, P the total projection of the eigenvalues within 1e-12
-    of the branch; None when that cluster is not isolated."""
-    xs, norms = [], []
-    for x, lam in path.samples[-6:]:
-        A = fam(x)
-        w = np.linalg.eigvals(A)
-        try:
-            radius = _cluster_radius(w, lam, int(np.sum(np.abs(w - lam) <= 1e-12)))
-        except ClusterAmbiguous:
-            return None
-        P = eigenprojection(A, lam, radius, spectrum=w)
-        xs.append(np.log(x))
-        norms.append(np.log(np.linalg.norm(P.matrix, 2)))
-    return float(np.polyfit(xs, norms, 1)[0])
-
-
 def _cmd_kato(fam, args):
     ray = default_ray()
     paths = track_eigenvalues(fam, ray)
@@ -439,7 +416,7 @@ def _cmd_kato(fam, args):
                 "start": complex(path.samples[0][1]),
                 "limit": complex(path.samples[-1][1]),
                 "matched": path.matched,
-                "pole_exponent": _pole_exponent(fam, path),
+                "pole_exponent": pole_exponent(fam, path),
             }
         )
     branches.sort(key=lambda b: (abs(complex(b["limit"])), abs(complex(b["start"]))))

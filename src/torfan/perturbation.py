@@ -1,9 +1,11 @@
 """Holomorphic matrix families and their spectral perturbation theory:
-contour-integral eigenprojections, eigenvalue tracking along a ray,
-total projections and their limits, first-order derivative spectra by
-Kato's reduction process (exact on real families, numeric on complex
-ones), the Grassmannian distance, and convergence of (generalized)
-eigenvector spans."""
+contour-integral projections of eigenvalue clusters (total projections
+and their limits, pole exponents), eigenvalue tracking along a ray,
+first-order derivative spectra by Kato's reduction process (exact on
+real families, numeric on complex ones), the bounded projections
+v y^H / (y^H v) of the simple branches through a semisimple eigenvalue,
+the Grassmannian distance, and convergence of (generalized) eigenvector
+spans."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +47,7 @@ __all__ = [
     "eigenprojection",
     "track_eigenvalues",
     "total_projection_limit_check",
+    "pole_exponent",
     "derivative_spectrum",
     "subspace_distance",
     "semisimple_convergence_check",
@@ -314,6 +317,12 @@ def _cluster_radius(spectrum, lam, m):
     return float(np.sqrt(max(inner, 1e-3 * outer) * outer))
 
 
+def _cluster_projection(A, spectrum, lam, m):
+    """Contour projection of A onto the m eigenvalues in `spectrum` (A's)
+    nearest to lam, on the circle of _cluster_radius."""
+    return eigenprojection(A, lam, _cluster_radius(spectrum, lam, m), spectrum=spectrum).matrix
+
+
 @dataclass
 class TotalProjectionReport:
     ray: list
@@ -344,12 +353,11 @@ def total_projection_limit_check(fam, lam, ray=None):
     if m == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
     if N is None:
-        limit = eigenprojection(A0, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
+        limit = _cluster_projection(A0, w, lam, m)
     norms, errors = [], []
     for x in ray:
         A = fam(x)
-        w = np.linalg.eigvals(A)
-        P = eigenprojection(A, lam, _cluster_radius(w, lam, m), spectrum=w).matrix
+        P = _cluster_projection(A, np.linalg.eigvals(A), lam, m)
         norms.append(float(np.linalg.norm(P, 2)))
         errors.append(float(np.linalg.norm(P - limit, 2)))
     bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
@@ -357,6 +365,26 @@ def total_projection_limit_check(fam, lam, ray=None):
         errors[k + 1] <= errors[k] + 1e-9 for k in range(len(errors) - 1)
     )
     return TotalProjectionReport(ray, norms, errors, bounded, converges, limit)
+
+
+def pole_exponent(fam, path):
+    """Least-squares slope of log ||P(x)||_2 against log x over the last
+    six samples of a tracked branch (an EigenPath), P the total
+    projection of the eigenvalues within 1e-12 of it: -k for a pole of
+    order k.  None when the contour cannot resolve that cluster: its gap
+    has closed (ClusterAmbiguous) or its circle comes within the node
+    check's 1e-12 of an eigenvalue (ContourHitsSpectrum)."""
+    xs, norms = [], []
+    for x, lam in path.samples[-6:]:
+        A = fam(x)
+        w = np.linalg.eigvals(A)
+        try:
+            P = _cluster_projection(A, w, lam, int(np.sum(np.abs(w - lam) <= 1e-12)))
+        except (ClusterAmbiguous, ContourHitsSpectrum):
+            return None
+        xs.append(np.log(x))
+        norms.append(np.log(np.linalg.norm(P, 2)))
+    return float(np.polyfit(xs, norms, 1)[0])
 
 
 # -- derivative spectrum ----------------------------------------------
@@ -437,8 +465,13 @@ class SemisimpleReport:
 
 
 def semisimple_convergence_check(fam, lam, ray=None):
-    """Individual eigenprojections stay bounded and the eigenlines are
-    Cauchy, with limits spanning the exact eigenspace of A(0)."""
+    """Through a semisimple eigenvalue lam of A(0), the eigenprojections
+    of the individual branches stay bounded along the ray and their
+    eigenlines are Cauchy, with limits spanning the exact eigenspace of
+    A(0).  Each branch is simple at x > 0, so with A = V diag(w) V^-1 its
+    projection v y^H / (y^H v) (Kato, I §5) is v_i (V^-1)_i, of 2-norm
+    ||v_i|| ||(V^-1)_i||: one inverse per ray point, no contour.  Raises
+    ClusterAmbiguous when V is numerically singular: two branches met."""
     ray = list(ray) if ray is not None else default_ray()
     K, L = _check_semisimple(fam, lam)
     ders, distinct = _reduced_derivatives(fam, K, L)
@@ -459,9 +492,11 @@ def semisimple_convergence_check(fam, lam, ray=None):
             matches = match_nearest(prev_members, [w[i] for i in members])
             members = [members[j] for j, _, _ in matches]
         prev_members = [w[i] for i in members]
+        if np.linalg.matrix_rank(v) < len(w):
+            raise ClusterAmbiguous(f"eigenvectors at x = {x} are dependent: two branches met")
+        Vinv = np.linalg.inv(v)
         for j, i in enumerate(members):
-            P = eigenprojection(A, w[i], _cluster_radius(w, w[i], 1), spectrum=w).matrix
-            norms[j].append(float(np.linalg.norm(P, 2)))
+            norms[j].append(float(np.linalg.norm(v[:, i]) * np.linalg.norm(Vinv[i])))
             lines[j].append(Subspace.from_vectors(v[:, i] / np.linalg.norm(v[:, i])))
 
     norms_bounded = all(max(ns) <= 2.0 * ns[-1] + 1e-6 for ns in norms.values())
@@ -482,11 +517,8 @@ def semisimple_convergence_check(fam, lam, ray=None):
 class GevecCluster:
     size: int
     block_size: int
-    eigenvalues: list          # at the smallest ray point
-    span_distances: list       # per ray point, to the exact block span
-    line_distances: list       # per ray point, max line distance to the
-                               # limiting eigenvector line
-    decreasing: bool = field(default=False)
+    span_distances: list  # per ray point, to the exact block span
+    decreasing: bool
 
     @property
     def final_distance(self):
@@ -628,7 +660,6 @@ def gevec_convergence(fam, ray=None):
         block_span = blocks[b][1]
 
         span_distances = []
-        line_distances = []
         for k in range(len(ray)):
             ordered = sorted(
                 members, key=lambda i: -abs(lams[i][k])
@@ -637,11 +668,6 @@ def gevec_convergence(fam, ray=None):
             q, _ = np.linalg.qr(vecs)
             span = Subspace(q[:, : len(members)], len(members))
             span_distances.append(subspace_distance(span, block_span))
-            line_distances.append(
-                max(
-                    _line_distance(tracks[i][k], final[i]) for i in members
-                )
-            )
         decreasing = all(
             span_distances[k + 1] <= span_distances[k] + 1e-9
             for k in range(len(ray) - 1)
@@ -650,9 +676,7 @@ def gevec_convergence(fam, ray=None):
             GevecCluster(
                 size=len(members),
                 block_size=block_span.dimension,
-                eigenvalues=[lams[i][-1] for i in members],
                 span_distances=span_distances,
-                line_distances=line_distances,
                 decreasing=decreasing,
             )
         )

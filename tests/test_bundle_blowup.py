@@ -75,6 +75,12 @@ def test_blowup_face():
     assert new_fan.edges[-1] == (1, 1, 0)
 
 
+def test_blowup_point_of_a_ray_is_not_a_face():
+    # a point blow-up is a face blow-up, and a ray of P^1 is no face
+    with pytest.raises(NotAFace):
+        blowup_point(*projective_space(1), 0)
+
+
 def test_blowup_face_rejects_non_face(p1xp1):
     fan, P = p1xp1
     with pytest.raises(NotAFace):

@@ -130,6 +130,18 @@ def test_kato_pole_exponent(capsys):
         ), name
 
 
+def test_kato_reports_a_cluster_the_contour_cannot_resolve(capsys, tmp_path):
+    # [[x^2, 1], [0, 0]]: near x = 3e-6 the gap x^2 is ~1e-11, so every
+    # node of the cluster circle lies within 1e-12 of the spectrum
+    path = tmp_path / "gap_x2.json"
+    path.write_text(json.dumps({"entries": [[[0, 0, 1], [1]], [[0], [0]]]}))
+    code, out, err = run(capsys, "kato", "--input", str(path), "--format", "json")
+    assert code == 0 and not err
+    branches = json.loads(out)["results"]["branches"]
+    assert len(branches) == 2
+    assert all(b["pole_exponent"] is None for b in branches)
+
+
 def test_matrix_document_complex_coefficients():
     fam = parse_matrix_document(
         json.dumps({"entries": [[[[0, 1]], [0]], [[0], [1, 2]]]})
@@ -146,6 +158,21 @@ def test_blowup_command_vertex_counts(capsys):
     assert code == 0
     assert results["vertex_count_before"] == 1
     assert results["vertex_count_after"] == 3
+
+
+def test_blowup_of_a_ray_is_not_a_face(capsys, tmp_path):
+    # the maximal cones of P^1 are rays: no face blow-up, no duplicated edge
+    doc = {
+        "rank": 1,
+        "edges": [[1], [-1]],
+        "max_cones": [[1], [2]],
+        "lambdas": [-1, -1],
+        "blowup": {"I": [1], "epsilon": "1/2"},
+    }
+    path = tmp_path / "p1_blowup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "blowup", "--input", str(path))
+    assert code == 1 and not out and err.startswith("NotAFace:")
 
 
 @pytest.mark.parametrize("command", ["separate", "blowup"])

@@ -1,5 +1,7 @@
 """No dead imports: every name that a module under src/torfan imports is
-used in that module or re-exported through its ``__all__``."""
+used in that module or re-exported through its ``__all__``.  No dead
+private helpers: every module-level ``_name`` function or class under
+src/torfan is named somewhere in src/torfan outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -56,3 +58,62 @@ def test_dead_import_is_seen():
         "    return np.asarray(M)\n"
     )
     assert dead_imports(source) == [("match_nearest", 1), ("ToleranceExceeded", 2)]
+
+
+def _names(node):
+    """Every name a syntax tree reads: bare names, attributes and the
+    names that its from-imports bind."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def dead_helpers(sources):
+    """(module, name) for every module-level private function or class
+    (``_name``, not dunder) in `sources` (module -> source) that no
+    top-level statement other than its own definition names."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = node.name if isinstance(node, defs) else None
+            used |= {name for name in _names(node) if name != own}
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_no_dead_private_helpers_under_src():
+    sources = {
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert sources
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_is_seen():
+    sources = {
+        "a.py": (
+            "def _called(): pass\n"
+            "def _imported(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Attribute: pass\n"
+            "class _Unused: pass\n"
+            "def __getattr__(name): pass\n"
+            "def f(): return _called()\n"
+        ),
+        "b.py": "from .a import _imported\nimport a\ng = a._Attribute\n",
+    }
+    assert dead_helpers(sources) == [("a.py", "_recursive"), ("a.py", "_Unused")]

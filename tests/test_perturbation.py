@@ -280,6 +280,28 @@ def test_semisimple_convergence():
     assert rep.ok and rep.limit_distance <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "fam, lam",
+    [(MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]]), 0), (COMPLEX, 1j)],
+    ids=["real", "complex"],
+)
+def test_semisimple_check_reads_no_contour(monkeypatch, fam, lam):
+    # each branch is simple at x > 0: its projector comes from eig
+    calls = []
+    monkeypatch.setattr(perturbation, "eigenprojection", lambda *a, **k: calls.append(a))
+    assert semisimple_convergence_check(fam, lam).ok
+    assert calls == []
+
+
+def test_semisimple_check_sees_branches_meet():
+    # [[x, x], [0, -x + 160 x^2]]: derivatives 1 and -1 at 0, and the
+    # branches meet in a Jordan block at the ray point x = 0.1 / 8
+    fam = MatrixFamily.make([[(0, 1), (0, 1)], [(0,), (0, -1, 160)]])
+    assert fam(default_ray()[3])[1, 1] == default_ray()[3]
+    with pytest.raises(ClusterAmbiguous):
+        semisimple_convergence_check(fam, 0)
+
+
 def test_complex_constant_term_takes_the_numeric_branches():
     fam = COMPLEX
     assert total_projection_limit_check(fam, 1j).ok
