@@ -86,27 +86,26 @@ def monotone_epsilon(I):
     return len(I) - 1
 
 
-def _warn_if_not_monotone(P, I, epsilon):
-    if all(l == -1 for l in P.lambdas) and epsilon != monotone_epsilon(I):
-        warnings.warn(
-            f"epsilon {epsilon} is not the monotone value {monotone_epsilon(I)}",
-            stacklevel=3,
-        )
-
-
 def blowup_point(fan, P, cone_index, epsilon=None):
     """Blow up the fixed point of a full-dimensional maximal cone: the
     face blow-up along that cone."""
     cone = fan.max_cones[cone_index]
     if len(cone) != fan.rank:
         raise NotAFace("point blow-up needs a full-dimensional cone")
-    return blowup_face(fan, P, cone, epsilon)
+    return _blowup(fan, P, cone, epsilon)
 
 
 def blowup_face(fan, P, I, epsilon=None):
     """Blow up along the toric subvariety of a codimension-|I| face:
     append the edge sum of I, star-subdivide every maximal cone
     containing I, and chop the polytope accordingly."""
+    return _blowup(fan, P, I, epsilon)
+
+
+def _blowup(fan, P, I, epsilon):
+    """The face blow-up behind both public entry points.  Each calls it
+    directly, so its warning for a non-monotone epsilon on a reflexive
+    polytope (stacklevel 3) points at their caller's line."""
     I = sorted(set(I))
     if len(I) < 2:
         raise NotAFace("face blow-up needs at least two facets")
@@ -114,7 +113,11 @@ def blowup_face(fan, P, I, epsilon=None):
         raise NotAFace(f"{I} spans no cone of the fan")
     if epsilon is None:
         epsilon = monotone_epsilon(I)
-    _warn_if_not_monotone(P, I, epsilon)
+    if all(l == -1 for l in P.lambdas) and epsilon != monotone_epsilon(I):
+        warnings.warn(
+            f"epsilon {epsilon} is not the monotone value {monotone_epsilon(I)}",
+            stacklevel=3,
+        )
     new_fan = _star_subdivide(fan, set(I))
     new_P = chop(P, I, epsilon)
     return new_fan, new_P

@@ -301,7 +301,7 @@ def _cmd_qh(fan, P, options, args, spec=None):
 
 
 def _cmd_sh(fan, P, options, args, spec=None):
-    pres, A = qh_presentation(fan, P)
+    _, A = qh_presentation(fan, P)
     SH = symplectic_cohomology(A)
     M = omega_operator(SH, P)
     chi, mu = char_min_poly(M)
@@ -316,7 +316,7 @@ def _cmd_sh(fan, P, options, args, spec=None):
 
 
 def _cmd_mirror(fan, P, options, args, spec=None):
-    pres, A = qh_presentation(fan, P)
+    _, A = qh_presentation(fan, P)
     sh_algebra = symplectic_cohomology(A)
     W = build_superpotential(P)
     J = jacobian_ring(W)

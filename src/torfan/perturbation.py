@@ -4,9 +4,10 @@ and their limits, pole exponents), eigenvalue tracking along a ray,
 first-order derivative spectra by Kato's reduction process (exact on
 real families, numeric on complex ones), the bounded projections
 v y^H / (y^H v) of the simple branches through a semisimple eigenvalue,
-the Grassmannian distance, and convergence of (generalized) eigenvector
-spans."""
+the gap ||V - U (U^H V)||_2 between subspaces with orthonormal bases U
+and V, and convergence of (generalized) eigenvector spans."""
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -94,7 +95,11 @@ class MatrixFamily:
             for cell in row:
                 if isinstance(cell, (int, float, complex, Fraction)):
                     cell = (cell,)
-                cells.append(tuple(complex(c) for c in cell))
+                cell = tuple(complex(c) for c in cell)
+                # |A_ij(x)| <= sum |c_d| for |x| <= 1, which every evaluation must keep finite
+                if math.isinf(sum(math.hypot(c.real, c.imag) for c in cell)):
+                    raise ValueError("an entry's coefficients sum beyond float range")
+                cells.append(cell)
             rows.append(tuple(cells))
         return MatrixFamily(n, tuple(rows))
 
@@ -142,16 +147,26 @@ class Subspace:
         q = q[:, : len(keep)][:, keep]
         return Subspace(q, q.shape[1])
 
-    def projector(self):
-        return self.orthonormal_basis @ self.orthonormal_basis.conj().T
+
+def _gap(U, V):
+    """||V - U (U^H V)||_2 for orthonormal bases U and V of equal
+    dimension: the gap ||P_U - P_V||_2 between their spans (Kato, IV
+    §2.1), the sine of the largest principal angle.  A 1-D array is a
+    unit vector, a one-column basis, and its gap is a Euclidean norm."""
+    if V.ndim == 1:
+        return float(np.linalg.norm(V - U * np.vdot(U, V)))
+    return float(np.linalg.norm(V - U @ (U.conj().T @ V), 2))
 
 
 def subspace_distance(U, V):
-    """Operator norm of the projector difference: the sine of the
-    largest principal angle."""
+    """The gap between two subspaces of equal dimension, from their
+    orthonormal bases: the sine of the largest principal angle, 0 for
+    two 0-dimensional subspaces."""
     if U.dimension != V.dimension:
         raise DimensionMismatch(f"{U.dimension} vs {V.dimension}")
-    return float(np.linalg.norm(U.projector() - V.projector(), 2))
+    if not U.dimension:
+        return 0.0
+    return _gap(U.orthonormal_basis, V.orthonormal_basis)
 
 
 # -- contour projections ----------------------------------------------
@@ -314,7 +329,8 @@ def _cluster_radius(spectrum, lam, m):
         raise ClusterAmbiguous(
             f"gap between cluster ({inner:.3e}) and rest ({outer:.3e}) closed"
         )
-    return float(np.sqrt(max(inner, 1e-3 * outer) * outer))
+    # two roots: the product overflows once outer passes about 4e155
+    return float(np.sqrt(max(inner, 1e-3 * outer)) * np.sqrt(outer))
 
 
 def _cluster_projection(A, spectrum, lam, m):
@@ -497,14 +513,14 @@ def semisimple_convergence_check(fam, lam, ray=None):
         Vinv = np.linalg.inv(v)
         for j, i in enumerate(members):
             norms[j].append(float(np.linalg.norm(v[:, i]) * np.linalg.norm(Vinv[i])))
-            lines[j].append(Subspace.from_vectors(v[:, i] / np.linalg.norm(v[:, i])))
+            lines[j].append(v[:, i] / np.linalg.norm(v[:, i]))
 
     norms_bounded = all(max(ns) <= 2.0 * ns[-1] + 1e-6 for ns in norms.values())
     cauchy = True
     for ls in lines.values():
-        d = [subspace_distance(a, b) for a, b in zip(ls, ls[1:])]
+        d = [_gap(a, b) for a, b in zip(ls, ls[1:])]
         cauchy &= not (d and (d[-1] > 1e-4 or any(b > a + 1e-6 for a, b in zip(d, d[1:]))))
-    limits = np.column_stack([ls[-1].orthonormal_basis[:, 0] for ls in lines.values()])
+    limits = np.column_stack([ls[-1] for ls in lines.values()])
     eigenspace = Subspace.from_vectors(np.asarray(K, dtype=complex))
     limit_distance = subspace_distance(Subspace.from_vectors(limits), eigenspace)
     return SemisimpleReport(ders, norms_bounded, cauchy, limit_distance)
@@ -538,9 +554,11 @@ class GevecReport:
 
 
 def _canonical_eigenbasis(A, prev_groups):
-    """Eigenpairs of A with degenerate-eigenvalue groups replaced by a
-    deterministic basis: the kernel's principal vectors against the
-    previous ray point's group subspace."""
+    """Unit eigenvectors of A, each group of eigenvalues equal to a
+    relative 1e-10 replaced by a deterministic orthonormal basis of the
+    kernel: its principal vectors against the nearest group of the same
+    size at the previous ray point.  Returns the n vectors and the
+    (eigenvalue, basis) of every group of size >= 2, for the next point."""
     w, v = np.linalg.eig(A)
     n = A.shape[0]
     scale = max(1.0, float(np.abs(w).max()))
@@ -554,81 +572,61 @@ def _canonical_eigenbasis(A, prev_groups):
             groups[-1].append(i)
         else:
             groups.append([i])
-    pairs = []
-    new_groups = []
+    vecs, new_groups = [], []
     for g in groups:
-        lam = w[g[0]]
         if len(g) == 1:
-            vec = v[:, g[0]] / np.linalg.norm(v[:, g[0]])
-            pairs.append((lam, vec))
-            new_groups.append((lam, vec.reshape(-1, 1)))
+            vecs.append(v[:, g[0]] / np.linalg.norm(v[:, g[0]]))
             continue
+        lam = w[g[0]]
         # orthonormal kernel basis of A - lam
-        _, s, vh = np.linalg.svd(A - lam * np.eye(n))
-        Q = vh.conj().T[:, -len(g):]
-        # the nearest previous group of the same size, if any
+        Q = np.linalg.svd(A - lam * np.eye(n))[2].conj().T[:, -len(g):]
         same = [t for t in prev_groups or () if t[1].shape[1] == len(g)]
         if same:
             ref = min(same, key=lambda t: abs(t[0] - lam))[1]
-            U, _, _ = np.linalg.svd(Q.conj().T @ ref)
-            Q = Q @ U
-        for c in range(Q.shape[1]):
-            pairs.append((lam, Q[:, c]))
+            Q = Q @ np.linalg.svd(Q.conj().T @ ref)[0]
+        vecs.extend(Q.T)
         new_groups.append((lam, Q))
-    return pairs, new_groups
+    return vecs, new_groups
 
 
 def gevec_convergence(fam, ray=None):
-    """Cluster the eigenvector lines by their projective limits; per
-    cluster, Gram-Schmidt in descending eigenvalue-modulus order and
-    measure the span's Grassmannian distance to the matching exact
-    Jordan-block subspace of A(0)."""
+    """Cluster the eigenvector lines by their projective limits and, per
+    cluster and ray point, measure the gap between the span of its
+    vectors and the matching exact Jordan-block subspace of A(0)."""
     ray = list(ray) if ray is not None else default_ray()
-    per_point = []
-    prev_groups = None
-    for x in ray:
-        pairs, prev_groups = _canonical_eigenbasis(fam(x), prev_groups)
-        per_point.append(pairs)
+    # one pass over the ray: match each point's lines to the tracks by
+    # nearest gap
+    vecs, groups = _canonical_eigenbasis(fam(ray[0]), None)
+    tracks = [[vec] for vec in vecs]
+    for x in ray[1:]:
+        vecs, groups = _canonical_eigenbasis(fam(x), groups)
+        matches = match_nearest([track[-1] for track in tracks], vecs, dist=_gap)
+        for track, (best, _, _) in zip(tracks, matches):
+            track.append(vecs[best])
+    count = len(tracks)
 
-    count = len(per_point[0])
-    if any(len(p) != count for p in per_point):
-        raise ClusteringAmbiguous("variable eigenvector count along the ray")
-
-    # match lines across ray points by nearest line distance
-    tracks = [[vec] for _, vec in per_point[0]]
-    lams = [[lam] for lam, _ in per_point[0]]
-    for pairs in per_point[1:]:
-        matches = match_nearest(
-            [track[-1] for track in tracks],
-            [vec for _, vec in pairs],
-            dist=_line_distance,
-        )
-        for t, (best, _, _) in enumerate(matches):
-            tracks[t].append(pairs[best][1])
-            lams[t].append(pairs[best][0])
-
-    # cluster by line limits at the smallest ray point.  The line
-    # distance is a metric, so two lines within 1e-4 of a third are
-    # within 2e-4 of each other: below 1e-4 or in the band that raises.
-    # Past the checks every cluster is a clique, and labelling each line
-    # with its last earlier neighbour names the cluster's first member.
+    # cluster by line limits at the smallest ray point.  The gap is a
+    # metric, so two lines within 1e-4 of a third are within 2e-4 of
+    # each other: below 1e-4 or in the band that raises.  Past the
+    # checks every cluster is a clique, and labelling each line with its
+    # last earlier neighbour names the cluster's first member.
     final = [track[-1] for track in tracks]
     label = list(range(count))
     for i in range(count):
         for j in range(i + 1, count):
-            d = _line_distance(final[i], final[j])
+            d = _gap(final[i], final[j])
             if d < 1e-4:
                 label[j] = label[i]
             elif d < 1e-3:
                 raise ClusteringAmbiguous(
-                    f"line distance {d:.3e} in the ambiguity band"
+                    f"gap {d:.3e} between two limit lines in the ambiguity band"
                 )
 
     clusters = {}
     for i in range(count):
         clusters.setdefault(label[i], []).append(i)
 
-    # exact Jordan blocks of A(0)
+    # exact Jordan blocks of A(0): (unit eigenvector, block span)
     A0r = fam.rational_coefficient(0)
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
@@ -639,15 +637,11 @@ def gevec_convergence(fam, ray=None):
         for _, chain in exact_jordan_blocks(A0r, -p.coeff((0,))):
             # the chain starts with the eigenvector
             span = to_numpy(chain).T
-            blocks.append(
-                (Subspace.from_vectors(span[:, 0]), Subspace.from_vectors(span))
-            )
+            blocks.append((span[:, 0] / np.linalg.norm(span[:, 0]), Subspace.from_vectors(span)))
 
     out = []
     used_blocks = set()
     for members in clusters.values():
-        # limit line of the cluster
-        limit_line = Subspace.from_vectors(final[members[0]])
         usable = [
             b
             for b in range(len(blocks))
@@ -655,19 +649,15 @@ def gevec_convergence(fam, ray=None):
         ]
         if not usable:
             raise ClusteringAmbiguous("no Jordan block matches a cluster size")
-        b = min(usable, key=lambda b: subspace_distance(limit_line, blocks[b][0]))
+        # the block whose eigenvector is nearest the cluster's limit line
+        b = min(usable, key=lambda b: _gap(final[members[0]], blocks[b][0]))
         used_blocks.add(b)
         block_span = blocks[b][1]
 
         span_distances = []
         for k in range(len(ray)):
-            ordered = sorted(
-                members, key=lambda i: -abs(lams[i][k])
-            )
-            vecs = np.column_stack([tracks[i][k] for i in ordered])
-            q, _ = np.linalg.qr(vecs)
-            span = Subspace(q[:, : len(members)], len(members))
-            span_distances.append(subspace_distance(span, block_span))
+            q, _ = np.linalg.qr(np.column_stack([tracks[i][k] for i in members]))
+            span_distances.append(_gap(q, block_span.orthonormal_basis))
         decreasing = all(
             span_distances[k + 1] <= span_distances[k] + 1e-9
             for k in range(len(ray) - 1)
@@ -681,10 +671,3 @@ def gevec_convergence(fam, ray=None):
             )
         )
     return GevecReport(out)
-
-
-def _line_distance(u, v):
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    overlap = abs(np.vdot(u, v))
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2)))

@@ -192,12 +192,7 @@ def critical_points(W, seed=0, coefficients=None, jac=None):
         r = [rng.randint(1, 99) for _ in range(n)]
         M = sum(ri * Mi for ri, Mi in zip(r, mats))
         w, v = np.linalg.eig(M)
-        order = np.argsort(-np.abs(w))
-        gaps = [
-            abs(w[order[i]] - w[order[j]])
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-        ]
+        gaps = [abs(a - b) for i, a in enumerate(w) for b in w[i + 1:]]
         vecs = v
         if not gaps or min(gaps) > 1e-6 * max(1.0, max(abs(x) for x in w)):
             break

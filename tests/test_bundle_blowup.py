@@ -1,5 +1,6 @@
 """Unit tests for line-bundle total spaces and blow-up surgery."""
 
+import inspect
 import warnings
 from fractions import Fraction
 
@@ -97,3 +98,18 @@ def test_monotone_epsilon_warning():
         warnings.simplefilter("always")
         blowup_point(fan, P, 2, epsilon=F(1, 2))
     assert any("monotone" in str(w.message) for w in caught)
+
+
+def test_monotone_epsilon_warning_points_at_the_caller():
+    """Through either entry point, the warning names this file and the
+    line of the call, not a line inside the library."""
+    fan, _ = projective_space(2)
+    from torfan.polytope import MomentPolytope
+
+    P = MomentPolytope.make(2, fan.edges, [-1, -1, -1])
+    for blow_up, where in ((blowup_point, 2), (blowup_face, fan.max_cones[2])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            blow_up(fan, P, where, epsilon=F(1, 2))
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)], blow_up.__name__

@@ -1,7 +1,9 @@
 """No dead imports: every name that a module under src/torfan imports is
 used in that module or re-exported through its ``__all__``.  No dead
 private helpers: every module-level ``_name`` function or class under
-src/torfan is named somewhere in src/torfan outside its own definition."""
+src/torfan is named somewhere in src/torfan outside its own definition.
+No dead local stores: every local name a function under src/torfan
+assigns, unless it starts with ``_``, is also read."""
 
 import ast
 from pathlib import Path
@@ -117,3 +119,46 @@ def test_dead_helper_is_seen():
         "b.py": "from .a import _imported\nimport a\ng = a._Attribute\n",
     }
     assert dead_helpers(sources) == [("a.py", "_recursive"), ("a.py", "_Unused")]
+
+
+def dead_stores(source):
+    """(function, name) for every name that a function in the module
+    assigns and that nothing in the function, its nested scopes
+    included, reads; names starting with ``_`` are exempt."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, funcs):
+            continue
+        stored, read = [], set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node.ctx, ast.Store) and not node.id.startswith("_"):
+                    stored.append(node.id)
+        found += [(fn.name, name) for name in dict.fromkeys(stored) if name not in read]
+    return found
+
+
+def test_no_dead_local_stores_under_src():
+    dead = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := dead_stores(path.read_text(encoding="utf-8")))
+    }
+    assert dead == {}
+
+
+def test_dead_store_is_seen():
+    source = (
+        "def f(M):\n"
+        "    pres, A = M\n"
+        "    _, B = M\n"
+        "    for i, row in enumerate(A):\n"
+        "        total = sum(row)\n"
+        "    def g():\n"
+        "        return B\n"
+        "    return g\n"
+    )
+    assert dead_stores(source) == [("f", "pres"), ("f", "i"), ("f", "total")]

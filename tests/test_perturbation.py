@@ -351,3 +351,25 @@ def test_gevec_convergence_three_by_three():
         assert c.block_size == c.size
         assert c.decreasing
         assert c.final_distance <= 1e-3
+
+
+def test_gevec_convergence_on_a_permuted_sum_of_kato_blocks():
+    """Three 2 x 2 Kato blocks [[l + c x, 1], [0, l]] at distinct l,
+    conjugated by a permutation: each block is one cluster of two
+    eigenlines whose span converges to the block's Jordan span."""
+    blocks = [(-2, 1), (1, 2), (3, 3)]  # (l, c)
+    n = 2 * len(blocks)
+    A = [[[0] for _ in range(n)] for _ in range(n)]
+    for b, (l, c) in enumerate(blocks):
+        A[2 * b][2 * b] = [l, c]
+        A[2 * b][2 * b + 1] = [1]
+        A[2 * b + 1][2 * b + 1] = [l]
+    perm = [3, 0, 5, 1, 4, 2]  # P A P^T, P the permutation matrix of perm
+    fam = MatrixFamily.make([[A[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert len(rep.clusters) == len(blocks)
+    for c in rep.clusters:
+        assert c.size == c.block_size == 2
+        assert c.decreasing
+        assert c.final_distance <= 1e-3

@@ -107,20 +107,30 @@ def test_projectors_resolve_identity():
         done += 1
 
 
+def _projector(S):
+    return S.orthonormal_basis @ S.orthonormal_basis.conj().T
+
+
 def test_subspace_distance_metric_axioms():
+    """Metric axioms, and the oracle ||P_U - P_V||_2 from the n x n
+    projectors, at n = 5 and n = 24."""
     rng = np.random.default_rng(20244)
-    for _ in range(CASES):
-        k = int(rng.integers(1, 4))
-        U, V, W = (
-            Subspace.from_vectors(
-                rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
+    for n in (5, 24):
+        for _ in range(CASES):
+            k = int(rng.integers(1, 4))
+            U, V, W = (
+                Subspace.from_vectors(
+                    rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+                )
+                for _ in range(3)
             )
-            for _ in range(3)
-        )
-        duv = subspace_distance(U, V)
-        assert 0 <= duv <= 1 + 1e-12
-        assert subspace_distance(U, U) < 1e-12
-        assert duv == pytest.approx(subspace_distance(V, U), abs=1e-12)
-        assert duv <= (
-            subspace_distance(U, W) + subspace_distance(W, V) + 1e-9
-        )
+            duv = subspace_distance(U, V)
+            assert 0 <= duv <= 1 + 1e-12
+            assert duv == pytest.approx(
+                np.linalg.norm(_projector(U) - _projector(V), 2), abs=1e-12
+            )
+            assert subspace_distance(U, U) < 1e-12
+            assert duv == pytest.approx(subspace_distance(V, U), abs=1e-12)
+            assert duv <= (
+                subspace_distance(U, W) + subspace_distance(W, V) + 1e-9
+            )
