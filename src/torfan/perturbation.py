@@ -1,6 +1,8 @@
 """Holomorphic matrix families and their spectral perturbation theory:
-contour-integral projections of eigenvalue clusters (total projections
-and their limits, pole exponents), eigenvalue tracking along a ray,
+total projections of eigenvalue clusters (their limits, pole
+exponents), read as V_c (V^-1)_c from the eigen-decomposition
+A = V diag(w) V^-1, with contour-integral projections only where V is
+numerically singular, eigenvalue tracking along a ray,
 first-order derivative spectra by Kato's reduction process (exact on
 real families, numeric on complex ones), the bounded projections
 v y^H / (y^H v) of the simple branches through a semisimple eigenvalue,
@@ -95,11 +97,12 @@ class MatrixFamily:
             for cell in row:
                 if isinstance(cell, (int, float, complex, Fraction)):
                     cell = (cell,)
-                cell = tuple(complex(c) for c in cell)
-                # |A_ij(x)| <= sum |c_d| for |x| <= 1, which every evaluation must keep finite
-                if math.isinf(sum(math.hypot(c.real, c.imag) for c in cell)):
-                    raise ValueError("an entry's coefficients sum beyond float range")
-                cells.append(cell)
+                cells.append(tuple(complex(c) for c in cell))
+            # for |x| <= 1 the row sums of coefficient moduli bound
+            # ||A(x)||_inf, and so every entry and eigenvalue modulus; twice
+            # that must stay finite, so the distance of two eigenvalues does
+            if math.isinf(2 * sum(abs(c) for cell in cells for c in cell)):
+                raise ValueError("a row's coefficient moduli sum beyond half the float range")
             rows.append(tuple(cells))
         return MatrixFamily(n, tuple(rows))
 
@@ -339,6 +342,46 @@ def _cluster_projection(A, spectrum, lam, m):
     return eigenprojection(A, lam, _cluster_radius(spectrum, lam, m), spectrum=spectrum).matrix
 
 
+def _eigen_decomposition(A):
+    """(w, V, V^-1) with A = V diag(w) V^-1, from one eig and one inv;
+    V^-1 is None when V is numerically singular (matrix_rank < n), where
+    the eigenvectors do not span."""
+    w, V = np.linalg.eig(A)
+    if np.linalg.matrix_rank(V) < len(w):
+        return w, V, None
+    return w, V, np.linalg.inv(V)
+
+
+def _total_projection(A, lam, m, decomposition=None):
+    """Total projection of A onto the m eigenvalues nearest to lam: the
+    sum V_c (V^-1)_c of the projectors v y^H / (y^H v) of the cluster c
+    (Kato, I §5), read from the eigen-decomposition; a caller that has
+    already decomposed A hands the decomposition in.  The rules of the
+    contour hold: ClusterAmbiguous from _cluster_radius, and
+    ContourHitsSpectrum when the circle of that radius comes within 1e-12
+    of an eigenvalue.  P^2 - P = V_c ((V^-1)_c V_c - I) (V^-1)_c, so the
+    m x m residual ||(V^-1)_c V_c - I|| must stay within 1e-8
+    (IdempotencyFailed).  When V is numerically singular the cluster
+    stays together at this point, and the contour projects it."""
+    w, V, Vinv = _eigen_decomposition(A) if decomposition is None else decomposition
+    radius = _cluster_radius(w, lam, m)
+    dists = np.abs(w - lam)
+    j = int(np.argmin(np.abs(dists - radius)))
+    if abs(dists[j] - radius) < 1e-12:
+        raise ContourHitsSpectrum(
+            f"circle of radius {radius:.3e} about {lam} is "
+            f"{abs(dists[j] - radius):.3e} from eigenvalue {w[j]} (threshold 1e-12)"
+        )
+    if Vinv is None:
+        return _cluster_projection(A, w, lam, m)
+    c = np.argsort(dists)[:m]
+    Vc, Wc = V[:, c], Vinv[c]
+    residual = float(np.linalg.norm(Wc @ Vc - np.eye(m)))
+    if residual > 1e-8:
+        raise IdempotencyFailed(f"||(V^-1)_c V_c - I|| = {residual:.3e} exceeds 1e-8")
+    return Vc @ Wc
+
+
 @dataclass
 class TotalProjectionReport:
     ray: list
@@ -356,7 +399,10 @@ class TotalProjectionReport:
 def total_projection_limit_check(fam, lam, ray=None):
     """Total projection of the eigenvalue cluster converging to lam
     along the ray: boundedness and convergence to the exact
-    generalized eigenprojection of A(0)."""
+    generalized eigenprojection of A(0).  Each projection, and the
+    numeric limit of a complex family, is read from the
+    eigen-decomposition (_total_projection); a contour runs only where
+    the eigenvectors are numerically dependent."""
     ray = list(ray) if ray is not None else default_ray()
     N = _exact_shift(fam, lam)
     if N is not None:
@@ -364,16 +410,16 @@ def total_projection_limit_check(fam, lam, ray=None):
         limit, m = to_numpy(mat_mul(K, L)), len(L)
     else:
         A0 = fam(0.0)
-        w = np.linalg.eigvals(A0)
+        eig0 = _eigen_decomposition(A0)
+        w = eig0[0]
         m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
     if m == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
     if N is None:
-        limit = _cluster_projection(A0, w, lam, m)
+        limit = _total_projection(A0, lam, m, eig0)
     norms, errors = [], []
     for x in ray:
-        A = fam(x)
-        P = _cluster_projection(A, np.linalg.eigvals(A), lam, m)
+        P = _total_projection(fam(x), lam, m)
         norms.append(float(np.linalg.norm(P, 2)))
         errors.append(float(np.linalg.norm(P - limit, 2)))
     bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
@@ -387,15 +433,18 @@ def pole_exponent(fam, path):
     """Least-squares slope of log ||P(x)||_2 against log x over the last
     six samples of a tracked branch (an EigenPath), P the total
     projection of the eigenvalues within 1e-12 of it: -k for a pole of
-    order k.  None when the contour cannot resolve that cluster: its gap
-    has closed (ClusterAmbiguous) or its circle comes within the node
-    check's 1e-12 of an eigenvalue (ContourHitsSpectrum)."""
+    order k.  P is read from the eigen-decomposition (_total_projection);
+    a contour runs only where the eigenvectors are numerically dependent.
+    None when the cluster cannot be resolved: its gap has closed
+    (ClusterAmbiguous) or the circle about it comes within 1e-12 of an
+    eigenvalue (ContourHitsSpectrum)."""
     xs, norms = [], []
     for x, lam in path.samples[-6:]:
         A = fam(x)
-        w = np.linalg.eigvals(A)
+        eig = _eigen_decomposition(A)
+        m = int(np.sum(np.abs(eig[0] - lam) <= 1e-12))
         try:
-            P = _cluster_projection(A, w, lam, int(np.sum(np.abs(w - lam) <= 1e-12)))
+            P = _total_projection(A, lam, m, eig)
         except (ClusterAmbiguous, ContourHitsSpectrum):
             return None
         xs.append(np.log(x))
@@ -499,8 +548,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     norms = {j: [] for j in range(m)}
     prev_members = None
     for x in ray:
-        A = fam(x)
-        w, v = np.linalg.eig(A)
+        w, v, Vinv = _eigen_decomposition(fam(x))
         idx = np.argsort(np.abs(w - lam))[:m]
         members = spectral_order(idx, key=lambda i: w[i])
         if prev_members is not None:
@@ -508,9 +556,8 @@ def semisimple_convergence_check(fam, lam, ray=None):
             matches = match_nearest(prev_members, [w[i] for i in members])
             members = [members[j] for j, _, _ in matches]
         prev_members = [w[i] for i in members]
-        if np.linalg.matrix_rank(v) < len(w):
+        if Vinv is None:
             raise ClusterAmbiguous(f"eigenvectors at x = {x} are dependent: two branches met")
-        Vinv = np.linalg.inv(v)
         for j, i in enumerate(members):
             norms[j].append(float(np.linalg.norm(v[:, i]) * np.linalg.norm(Vinv[i])))
             lines[j].append(v[:, i] / np.linalg.norm(v[:, i]))

@@ -12,6 +12,7 @@ from torfan.errors import ClusterAmbiguous
 from torfan.exact_algebra import spectral_order
 from torfan.perturbation import (
     MatrixFamily,
+    default_ray,
     derivative_spectrum,
     semisimple_convergence_check,
     total_projection_limit_check,
@@ -110,9 +111,12 @@ def _cases():
 
 
 def _run(kind, data, rule, calls):
-    """Every check on one case under one radius rule; `calls` collects
-    (A, lam, cluster size, Projector) for each eigenprojection call."""
+    """Every check on one case under one radius rule, then the contour
+    projection of each checked cluster at every ray point (the checks
+    read their projections from eig); `calls` collects (A, lam, cluster
+    size, Projector) for each eigenprojection call."""
     fam, extra = data
+    clusters = [(0, len(extra))] if kind == "semisimple" else [(l, 2) for l in extra]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(perturbation, "_cluster_radius", rule)
         project = perturbation.eigenprojection
@@ -124,6 +128,10 @@ def _run(kind, data, rule, calls):
             return P
 
         mp.setattr(perturbation, "eigenprojection", recording)
+        for lam, m in clusters:
+            for x in default_ray():
+                A = fam(x)
+                perturbation._cluster_projection(A, np.linalg.eigvals(A), lam, m)
         if kind == "semisimple":
             return {
                 "total": [total_projection_limit_check(fam, 0)],
@@ -151,7 +159,7 @@ def _close(a, b, rtol=1e-12):
 
 def test_geometric_radius_matches_midpoint_oracle(runs):
     for kind, (fam, extra), got, want, geometric, midpoint in runs:
-        assert len(geometric) == len(midpoint)
+        assert geometric and len(geometric) == len(midpoint)
         for (_, _, _, P), (_, _, _, Q) in zip(geometric, midpoint):
             assert _close(P.matrix, Q.matrix)
         for g, w in zip(got["total"], want["total"]):
@@ -170,6 +178,7 @@ def test_geometric_radius_matches_midpoint_oracle(runs):
 
 def test_geometric_radius_node_counts(runs):
     for kind, _, _, _, geometric, midpoint in runs:
+        assert geometric and len(geometric) == len(midpoint)
         for (A, lam, m, P), (_, _, _, Q) in zip(geometric, midpoint):
             assert P.nodes <= Q.nodes
             if kind == "semisimple":

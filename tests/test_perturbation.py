@@ -1,9 +1,11 @@
 """Unit tests for the matrix-family perturbation machinery."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_contour_radius import SIZES, semisimple_family
 
 from torfan import perturbation
 from torfan.errors import (
@@ -23,6 +25,7 @@ from torfan.perturbation import (
     eigenprojection,
     exact_jordan_blocks,
     gevec_convergence,
+    pole_exponent,
     semisimple_convergence_check,
     subspace_distance,
     total_projection_limit_check,
@@ -315,6 +318,79 @@ def test_complex_constant_term_takes_the_numeric_branches():
     jordan = MatrixFamily.make([[(1j,), (1,)], [(0,), (1j, 1)]])
     with pytest.raises(NotSemisimple):
         semisimple_convergence_check(jordan, 1j)
+
+
+@pytest.mark.parametrize(
+    "fam, lam",
+    [(MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]]), 0), (COMPLEX, 1j)],
+    ids=["real", "complex"],
+)
+def test_total_projection_reads_no_contour(monkeypatch, fam, lam):
+    # the cluster splits into simple branches at x > 0, and the complex
+    # family's A(0) is diagonalizable: every projection comes from eig
+    calls = []
+    monkeypatch.setattr(perturbation, "eigenprojection", lambda *a, **k: calls.append(a))
+    assert total_projection_limit_check(fam, lam).ok
+    assert calls == []
+
+
+def test_total_projection_falls_back_to_the_contour(monkeypatch):
+    # [[x, 1, 0], [0, x, 0], [0, 0, 5]]: the cluster at 0 stays one Jordan
+    # block at every x, so V is singular and the contour projects it
+    fam = MatrixFamily.make(
+        [[(0, 1), (1,), (0,)], [(0,), (0, 1), (0,)], [(0,), (0,), (5,)]]
+    )
+    calls = []
+    project = perturbation.eigenprojection
+    monkeypatch.setattr(
+        perturbation, "eigenprojection", lambda *a, **k: calls.append(a) or project(*a, **k)
+    )
+    rep = total_projection_limit_check(fam, 0)
+    assert rep.ok and len(calls) == len(default_ray())
+    assert np.array_equal(rep.limit, np.diag([1.0, 1.0, 0.0]))
+
+
+def test_total_projection_matches_the_contour(monkeypatch):
+    # the closed form V_c (V^-1)_c against the contour on seeded families
+    def contour(A, lam, m, decomposition=None):
+        return perturbation._cluster_projection(A, np.linalg.eigvals(A), lam, m)
+
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for n, m in SIZES:
+            fam = semisimple_family(rng, n, m)[0]
+            got = total_projection_limit_check(fam, 0)
+            with monkeypatch.context() as mp:
+                mp.setattr(perturbation, "_total_projection", contour)
+                want = total_projection_limit_check(fam, 0)
+            assert (got.bounded, got.converges) == (want.bounded, want.converges)
+            for a, b in zip(got.norms + got.errors, want.norms + want.errors):
+                assert abs(a - b) <= 1e-9 * max(1.0, b), (seed, n)
+
+
+def test_total_projection_keeps_the_contour_rules():
+    # 0 and 1e-11: the circle of radius sqrt(1e-3) 1e-11 about 0 passes
+    # within 1e-12 of the eigenvalue 0 itself
+    with pytest.raises(ContourHitsSpectrum, match="threshold 1e-12"):
+        perturbation._total_projection(np.diag([0.0, 1e-11]), 0.0, 1)
+    with pytest.raises(ClusterAmbiguous):
+        perturbation._total_projection(np.diag([0.0, 1.0, 1.5]), 0.0, 2)
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+    P = perturbation._total_projection(A, 2.0, 1)
+    assert np.allclose(P, [[1.0, 1.0], [0.0, 0.0]], atol=1e-15)
+    # a V^-1 off by 1e-6 leaves P^2 - P of that size
+    w, V, Vinv = perturbation._eigen_decomposition(A)
+    with pytest.raises(IdempotencyFailed, match="exceeds 1e-8"):
+        perturbation._total_projection(A, 2.0, 1, (w, V, Vinv + 1e-6))
+
+
+def test_pole_exponent_is_none_where_the_circle_meets_the_spectrum():
+    # [[x^2, 1], [0, 0]]: the eigenvalues x^2 and 0 come within 1e-12, where
+    # no circle about one resolves it from the other
+    fam = MatrixFamily.make([[(0, 0, 1), (1,)], [(0,), (0,)]])
+    paths = track_eigenvalues(fam)
+    assert len(paths) == 2
+    assert [pole_exponent(fam, path) for path in paths] == [None, None]
 
 
 def test_subspace_distance_metric():
