@@ -2,7 +2,8 @@
 total projections of eigenvalue clusters (their limits, pole
 exponents), read as V_c (V^-1)_c from the eigen-decomposition
 A = V diag(w) V^-1, with contour-integral projections only where V is
-numerically singular, eigenvalue tracking along a ray,
+numerically singular or too ill-conditioned for that closed form,
+eigenvalue tracking along a ray,
 first-order derivative spectra by Kato's reduction process (exact on
 real families, numeric on complex ones), the bounded projections
 v y^H / (y^H v) of the simple branches through a semisimple eigenvalue,
@@ -101,7 +102,9 @@ class MatrixFamily:
             # for |x| <= 1 the row sums of coefficient moduli bound
             # ||A(x)||_inf, and so every entry and eigenvalue modulus; twice
             # that must stay finite, so the distance of two eigenvalues does
-            if math.isinf(2 * sum(abs(c) for cell in cells for c in cell)):
+            # hypot, not abs: complex.__abs__ raises OverflowError where the
+            # modulus of finite parts overflows, hypot returns inf
+            if math.isinf(2 * sum(math.hypot(c.real, c.imag) for cell in cells for c in cell)):
                 raise ValueError("a row's coefficient moduli sum beyond half the float range")
             rows.append(tuple(cells))
         return MatrixFamily(n, tuple(rows))
@@ -352,18 +355,20 @@ def _eigen_decomposition(A):
     return w, V, np.linalg.inv(V)
 
 
-def _total_projection(A, lam, m, decomposition=None):
+def _total_projection(A, decomposition, lam, m):
     """Total projection of A onto the m eigenvalues nearest to lam: the
     sum V_c (V^-1)_c of the projectors v y^H / (y^H v) of the cluster c
-    (Kato, I §5), read from the eigen-decomposition; a caller that has
-    already decomposed A hands the decomposition in.  The rules of the
-    contour hold: ClusterAmbiguous from _cluster_radius, and
-    ContourHitsSpectrum when the circle of that radius comes within 1e-12
-    of an eigenvalue.  P^2 - P = V_c ((V^-1)_c V_c - I) (V^-1)_c, so the
-    m x m residual ||(V^-1)_c V_c - I|| must stay within 1e-8
-    (IdempotencyFailed).  When V is numerically singular the cluster
-    stays together at this point, and the contour projects it."""
-    w, V, Vinv = _eigen_decomposition(A) if decomposition is None else decomposition
+    (Kato, I §5), read from A's eigen-decomposition (w, V, V^-1) of
+    _eigen_decomposition.  The rules of the contour hold: ClusterAmbiguous
+    from _cluster_radius, and ContourHitsSpectrum when the circle of that
+    radius comes within 1e-12 of an eigenvalue.  P^2 - P = V_c ((V^-1)_c
+    V_c - I) (V^-1)_c, and the closed form's error is of the size of the
+    m x m residual ||(V^-1)_c V_c - I||, about eps cond(V); it stands
+    only while that residual stays within 1e-12, near the contour's own
+    accuracy.  When V is numerically singular, or so ill-conditioned that
+    the residual exceeds that bound (a near-Jordan cluster), the contour
+    projects the cluster."""
+    w, V, Vinv = decomposition
     radius = _cluster_radius(w, lam, m)
     dists = np.abs(w - lam)
     j = int(np.argmin(np.abs(dists - radius)))
@@ -372,14 +377,12 @@ def _total_projection(A, lam, m, decomposition=None):
             f"circle of radius {radius:.3e} about {lam} is "
             f"{abs(dists[j] - radius):.3e} from eigenvalue {w[j]} (threshold 1e-12)"
         )
-    if Vinv is None:
-        return _cluster_projection(A, w, lam, m)
-    c = np.argsort(dists)[:m]
-    Vc, Wc = V[:, c], Vinv[c]
-    residual = float(np.linalg.norm(Wc @ Vc - np.eye(m)))
-    if residual > 1e-8:
-        raise IdempotencyFailed(f"||(V^-1)_c V_c - I|| = {residual:.3e} exceeds 1e-8")
-    return Vc @ Wc
+    if Vinv is not None:
+        c = np.argsort(dists)[:m]
+        Vc, Wc = V[:, c], Vinv[c]
+        if np.linalg.norm(Wc @ Vc - np.eye(m)) <= 1e-12:
+            return Vc @ Wc
+    return _cluster_projection(A, w, lam, m)
 
 
 @dataclass
@@ -402,7 +405,7 @@ def total_projection_limit_check(fam, lam, ray=None):
     generalized eigenprojection of A(0).  Each projection, and the
     numeric limit of a complex family, is read from the
     eigen-decomposition (_total_projection); a contour runs only where
-    the eigenvectors are numerically dependent."""
+    the eigenvectors are numerically dependent or too ill-conditioned."""
     ray = list(ray) if ray is not None else default_ray()
     N = _exact_shift(fam, lam)
     if N is not None:
@@ -416,10 +419,11 @@ def total_projection_limit_check(fam, lam, ray=None):
     if m == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
     if N is None:
-        limit = _total_projection(A0, lam, m, eig0)
+        limit = _total_projection(A0, eig0, lam, m)
     norms, errors = [], []
     for x in ray:
-        P = _total_projection(fam(x), lam, m)
+        A = fam(x)
+        P = _total_projection(A, _eigen_decomposition(A), lam, m)
         norms.append(float(np.linalg.norm(P, 2)))
         errors.append(float(np.linalg.norm(P - limit, 2)))
     bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
@@ -434,17 +438,17 @@ def pole_exponent(fam, path):
     six samples of a tracked branch (an EigenPath), P the total
     projection of the eigenvalues within 1e-12 of it: -k for a pole of
     order k.  P is read from the eigen-decomposition (_total_projection);
-    a contour runs only where the eigenvectors are numerically dependent.
-    None when the cluster cannot be resolved: its gap has closed
-    (ClusterAmbiguous) or the circle about it comes within 1e-12 of an
-    eigenvalue (ContourHitsSpectrum)."""
+    a contour runs only where the eigenvectors are numerically dependent
+    or too ill-conditioned.  None when the cluster cannot be resolved:
+    its gap has closed (ClusterAmbiguous) or the circle about it comes
+    within 1e-12 of an eigenvalue (ContourHitsSpectrum)."""
     xs, norms = [], []
     for x, lam in path.samples[-6:]:
         A = fam(x)
         eig = _eigen_decomposition(A)
         m = int(np.sum(np.abs(eig[0] - lam) <= 1e-12))
         try:
-            P = _total_projection(A, lam, m, eig)
+            P = _total_projection(A, eig, lam, m)
         except (ClusterAmbiguous, ContourHitsSpectrum):
             return None
         xs.append(np.log(x))

@@ -445,11 +445,13 @@ def test_numbers_outside_float_range_are_parse_errors(capsys, name, entry, cmd):
     assert err.startswith(f"ParseError: {entry}") and "outside the range of a float" in err
 
 
-@pytest.mark.parametrize("name", ["kato_row_sum_overflow", "kato_eigenvalue_gap_overflow"])
+@pytest.mark.parametrize(
+    "name", ["kato_row_sum_overflow", "kato_eigenvalue_gap_overflow", "kato_complex_modulus_overflow"]
+)
 def test_kato_rows_beyond_half_the_float_range_are_validation_errors(capsys, name):
     # each entry is finite, but a row sum of coefficient moduli (a bound on
-    # ||A(x)||_inf) or twice it (a bound on the distance of two eigenvalues)
-    # is not
+    # ||A(x)||_inf), twice it (a bound on the distance of two eigenvalues)
+    # or the modulus of one complex coefficient is not
     path = Path(__file__).parent / "malformed" / f"{name}.json"
     code, out, err = run(capsys, "kato", "--input", str(path))
     assert code == 2 and not out

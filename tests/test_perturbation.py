@@ -334,17 +334,22 @@ def test_total_projection_reads_no_contour(monkeypatch, fam, lam):
     assert calls == []
 
 
+def _spy_on_the_contour(monkeypatch):
+    calls = []
+    project = perturbation.eigenprojection
+    monkeypatch.setattr(
+        perturbation, "eigenprojection", lambda *a, **k: calls.append(a) or project(*a, **k)
+    )
+    return calls
+
+
 def test_total_projection_falls_back_to_the_contour(monkeypatch):
     # [[x, 1, 0], [0, x, 0], [0, 0, 5]]: the cluster at 0 stays one Jordan
     # block at every x, so V is singular and the contour projects it
     fam = MatrixFamily.make(
         [[(0, 1), (1,), (0,)], [(0,), (0, 1), (0,)], [(0,), (0,), (5,)]]
     )
-    calls = []
-    project = perturbation.eigenprojection
-    monkeypatch.setattr(
-        perturbation, "eigenprojection", lambda *a, **k: calls.append(a) or project(*a, **k)
-    )
+    calls = _spy_on_the_contour(monkeypatch)
     rep = total_projection_limit_check(fam, 0)
     assert rep.ok and len(calls) == len(default_ray())
     assert np.array_equal(rep.limit, np.diag([1.0, 1.0, 0.0]))
@@ -352,8 +357,8 @@ def test_total_projection_falls_back_to_the_contour(monkeypatch):
 
 def test_total_projection_matches_the_contour(monkeypatch):
     # the closed form V_c (V^-1)_c against the contour on seeded families
-    def contour(A, lam, m, decomposition=None):
-        return perturbation._cluster_projection(A, np.linalg.eigvals(A), lam, m)
+    def contour(A, decomposition, lam, m):
+        return perturbation._cluster_projection(A, decomposition[0], lam, m)
 
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -368,20 +373,51 @@ def test_total_projection_matches_the_contour(monkeypatch):
                 assert abs(a - b) <= 1e-9 * max(1.0, b), (seed, n)
 
 
+def _closed_form(A, lam, m):
+    return perturbation._total_projection(A, perturbation._eigen_decomposition(A), lam, m)
+
+
 def test_total_projection_keeps_the_contour_rules():
     # 0 and 1e-11: the circle of radius sqrt(1e-3) 1e-11 about 0 passes
     # within 1e-12 of the eigenvalue 0 itself
     with pytest.raises(ContourHitsSpectrum, match="threshold 1e-12"):
-        perturbation._total_projection(np.diag([0.0, 1e-11]), 0.0, 1)
+        _closed_form(np.diag([0.0, 1e-11]), 0.0, 1)
     with pytest.raises(ClusterAmbiguous):
-        perturbation._total_projection(np.diag([0.0, 1.0, 1.5]), 0.0, 2)
+        _closed_form(np.diag([0.0, 1.0, 1.5]), 0.0, 2)
     A = np.array([[2.0, 1.0], [0.0, 1.0]])
-    P = perturbation._total_projection(A, 2.0, 1)
-    assert np.allclose(P, [[1.0, 1.0], [0.0, 0.0]], atol=1e-15)
-    # a V^-1 off by 1e-6 leaves P^2 - P of that size
+    assert np.allclose(_closed_form(A, 2.0, 1), [[1.0, 1.0], [0.0, 0.0]], atol=1e-15)
+
+
+def test_total_projection_falls_back_past_the_residual_bound(monkeypatch):
+    # a V^-1 off by 1e-6 leaves P^2 - P of that size: the contour projects
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
     w, V, Vinv = perturbation._eigen_decomposition(A)
-    with pytest.raises(IdempotencyFailed, match="exceeds 1e-8"):
-        perturbation._total_projection(A, 2.0, 1, (w, V, Vinv + 1e-6))
+    calls = _spy_on_the_contour(monkeypatch)
+    P = perturbation._total_projection(A, (w, V, Vinv + 1e-6), 2.0, 1)
+    assert len(calls) == 1
+    assert np.allclose(P, [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_total_projection_falls_back_on_a_near_jordan_cluster(monkeypatch, seed, k):
+    # a rotated Jordan block of size k at 0 beside 5: eig splits the block
+    # into k eigenvalues (about 1e-8 apart for k = 2, 6e-6 for k = 3) with
+    # a full-rank V of condition number 6e7 to 2e11, where (V^-1)_c V_c
+    # misses I by 1e-9 to 1e-5 and V_c (V^-1)_c is off by as much; the
+    # contour about the k is well conditioned
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((k + 1, k + 1)))[0]
+    T = np.diag([1.0] * (k - 1) + [0.0], 1)
+    T[k, k] = 5.0
+    A = Q @ T @ Q.T
+    w, V, Vinv = perturbation._eigen_decomposition(A)
+    assert Vinv is not None
+    calls = _spy_on_the_contour(monkeypatch)
+    P = perturbation._total_projection(A, (w, V, Vinv), 0.0, k)
+    assert len(calls) == 1
+    want = Q @ np.diag([1.0] * k + [0.0]) @ Q.T
+    assert np.linalg.norm(P - want, 2) < 1e-13
 
 
 def test_pole_exponent_is_none_where_the_circle_meets_the_spectrum():
