@@ -423,25 +423,23 @@ def jordan_profile(M):
 def localize(A, f):
     """Quotient of A by the generalized 0-eigenspace of multiplication
     by f; multiplication by f is invertible on the result.  A nilpotent
-    f yields the zero algebra."""
-    n = A.dimension
-    if n == 0:
-        return A
+    f yields the zero algebra.  Each kernel vector is 1 at its own free
+    index and 0 at the other free indices F, so on the pivots P the class
+    of v is v_P - K_P·v_F, and M acts on the quotient as
+    M[P,P] - K_P·M[F,P]."""
     kernels, _, pivots = _kernel_chain(A.operator(f))
     K = kernels[-1]
-    s = len(K)
-    if s == 0:
+    if not K:
         return A
-    if s == n:
-        return QuotientAlgebra(A.ring, [], {name: [] for name in A.ring.names}, None)
-    # complete the kernel with the unit vectors at the pivot columns of
-    # F^p: each kernel vector is 1 at its free column and 0 at the others
-    C = transpose(K + [[_ONE if i == j else _ZERO for i in range(n)] for j in pivots])
-    Cinv = inverse(C)
-    mult = {}
-    for name, M in A.mult_matrices.items():
-        Q = mat_mul(Cinv, mat_mul(M, C))
-        mult[name] = [[Q[i][j] for j in range(s, n)] for i in range(s, n)]
+    free = sorted(set(range(A.dimension)) - set(pivots))
+    KP = [[v[p] for v in K] for p in pivots]
+    mult = {
+        name: mat_sub(
+            [[M[p][q] for q in pivots] for p in pivots],
+            mat_mul(KP, [[M[j][q] for q in pivots] for j in free]),
+        )
+        for name, M in A.mult_matrices.items()
+    }
     basis = [A.basis[j] for j in pivots]
     return QuotientAlgebra(A.ring, basis, mult, None)
 

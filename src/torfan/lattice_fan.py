@@ -2,12 +2,13 @@
 decompositions of edge sums, and the curve classes of primitive relations.
 
 A fan stores primitive integer edges and the index sets of its maximal
-cones (0-based); lower-dimensional cones are the subsets of those.
+cones (0-based); lower-dimensional cones are the subsets of those, and
+primitive collections are the minimal non-faces of that face set.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from math import gcd
 
 from ._feas import equality, feasible_point
@@ -118,21 +119,14 @@ def _cones_meet_in_face(fan, ca, cb):
     return feasible_point(ineqs, fan.rank) is not None
 
 
-def _generic_ray_cover(n, cones):
-    """How many of the full-dimensional ``cones``, given as (rows, det),
-    hold the ray (1, t, t^2, ...) of the moment curve, with t raised until
-    the ray lies on no cone's boundary hyperplane.  A cone holds it when
-    its Cramer numerators all have the sign of its determinant."""
-    for t in count(1):
-        v = tuple(t**k for k in range(n))
-        inside = 0
-        for rows, det in cones:
-            cramer = [_int_det(rows[:i] + [v] + rows[i + 1:]) for i in range(n)]
-            if 0 in cramer:
-                break
-            inside += all((c > 0) == (det > 0) for c in cramer)
-        else:
-            return v, inside
+def _coordinates(fan, cone, v):
+    """Coefficients of the vector v on the edges of the cone, from one
+    exact solve, or None when v is off the span of those edges."""
+    cols = [[fan.edges[i][j] for i in cone] for j in range(fan.rank)]
+    try:
+        return solve(cols, v)
+    except Inconsistent:
+        return None
 
 
 def validate_fan(fan):
@@ -144,22 +138,22 @@ def validate_fan(fan):
     Two full-dimensional cones on a common ridge meet in it exactly when
     their other edges lie on opposite sides of it.  A pure fan whose
     every ridge lies in exactly two cones, on opposite sides, covers the
-    sphere of rays with a constant multiplicity; it is a complete fan
-    exactly when one generic ray lies in one cone (Ewald, Combinatorial
-    Convexity and Algebraic Geometry, ch. V).  Otherwise the pairs that
-    share no ridge are checked by exact Fourier–Motzkin elimination.
+    sphere of rays with a constant multiplicity d (Ewald, Combinatorial
+    Convexity and Algebraic Geometry, ch. V); d = 1 exactly when the edge
+    sum of the first cone, interior to it, lies in one closed maximal cone
+    (a limit of generic rays puts it in d of them).  Otherwise the pairs
+    that share no ridge are checked by exact Fourier–Motzkin elimination.
     """
     _check_structure(fan)
     n = fan.rank
     notes = []
 
     smooth = True
-    full = {}  # index of each full-dimensional cone -> (rows, det)
+    dets = {}  # index of each full-dimensional cone -> its determinant
     for a, cone in enumerate(fan.max_cones):
         rows = [fan.edges[i] for i in cone]
         if len(cone) == n:
-            det = _int_det(rows)
-            full[a] = rows, det
+            det = dets[a] = _int_det(rows)
             simplicial, unimodular = det != 0, abs(det) == 1
         else:
             simplicial = rank(rows) == len(cone)
@@ -175,7 +169,7 @@ def validate_fan(fan):
     # edge lies is the sign of det(ridge rows, k-th row), which is the
     # cone's det times (-1)^(n-1-k).
     ridges = {}
-    for a, (_, det) in full.items():
+    for a, det in dets.items():
         cone = fan.max_cones[a]
         for k in range(n):
             side = (det > 0) == ((n - 1 - k) % 2 == 0)
@@ -191,13 +185,18 @@ def validate_fan(fan):
             seen[side] = a
 
     complete = (
-        len(full) == len(fan.max_cones) > 0
+        len(dets) == len(fan.max_cones) > 0
         and all(len(sides) == 2 for sides in ridges.values())
     )
     if complete:
-        v, inside = _generic_ray_cover(n, full.values())
-        if inside != 1:
-            raise OverlappingCones(f"the ray {v} lies in {inside} maximal cones")
+        first = fan.max_cones[0]
+        v = [sum(fan.edges[i][j] for i in first) for j in range(n)]
+        holding = [c for c in fan.max_cones if all(x >= 0 for x in _coordinates(fan, c, v))]
+        if len(holding) != 1:
+            raise OverlappingCones(
+                f"the ray {tuple(v)} through the interior of cone {first} lies in"
+                f" {len(holding)} maximal cones: {', '.join(map(str, holding))}"
+            )
     else:
         adjacent = {frozenset(a for a, _ in sides) for sides in ridges.values()}
         for a, b in combinations(range(len(fan.max_cones)), 2):
@@ -214,38 +213,34 @@ def validate_fan(fan):
     return FanReport(smooth, complete, tuple(notes))
 
 
-def _is_face(fan, subset):
-    return any(subset <= set(c) for c in fan.max_cones)
-
-
 def primitive_collections(fan):
-    """All minimal index sets spanning no cone of the fan."""
-    r = len(fan.edges)
-    found = []
-    for size in range(1, r + 1):
-        for combo in combinations(range(r), size):
-            s = set(combo)
-            if _is_face(fan, s):
-                continue
-            if any(set(f) <= s for f in found):
-                continue
-            if all(_is_face(fan, s - {i}) for i in s):
-                found.append(frozenset(s))
-    return set(found)
+    """All minimal index sets spanning no cone of the fan: the non-faces
+    S whose every facet S - {i} is a face (a smaller non-face inside S
+    would make some facet one).  S - {max S} is a face, so each S is read
+    off the face set as a face F plus an edge beyond max F."""
+    faces = {
+        frozenset(s)
+        for cone in fan.max_cones
+        for k in range(len(cone) + 1)
+        for s in combinations(cone, k)
+    }
+    found = set()
+    for face in faces:
+        for i in range(max(face, default=-1) + 1, len(fan.edges)):
+            s = face | {i}
+            if s not in faces and all(s - {j} in faces for j in face):
+                found.add(s)
+    return found
 
 
 def batyrev_decompose(fan, I, lambdas=None):
     """Express the sum of the edges of a primitive collection in the
     unique cone containing it, returning the induced curve class."""
     I = frozenset(I)
-    v = [Fraction(sum(fan.edges[i][j] for i in I)) for j in range(fan.rank)]
+    v = [sum(fan.edges[i][j] for i in I) for j in range(fan.rank)]
     for cone in fan.max_cones:
-        cols = [[Fraction(fan.edges[i][j]) for i in cone] for j in range(fan.rank)]
-        try:
-            coeffs = solve(cols, v)
-        except Inconsistent:
-            continue
-        if any(c < 0 for c in coeffs):
+        coeffs = _coordinates(fan, cone, v)
+        if coeffs is None or any(c < 0 for c in coeffs):
             continue
         J, c = [], []
         for idx, coeff in zip(cone, coeffs):

@@ -28,11 +28,8 @@ from .errors import (
 from .exact_algebra import (
     charpoly,
     factor_rational_poly,
-    identity,
     inverse,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_vec,
     match_nearest,
     rref,
@@ -277,7 +274,7 @@ def exact_jordan_blocks(A0, lam):
     """Jordan chains of a rational matrix at a rational eigenvalue:
     list of (eigenvector, chain vectors bottom-up) per block, chains
     sorted by descending length."""
-    N = mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam)))
+    N = _shift(A0, lam)
     kernels, _, _ = _kernel_chain(N)
     p = len(kernels) - 1
     chains = []
@@ -310,7 +307,13 @@ def _exact_shift(fam, lam):
     lam = complex(lam)
     if A0 is None or lam.imag or not np.isfinite(lam):
         return None
-    return mat_sub(A0, mat_scale(identity(len(A0)), Fraction(lam.real)))
+    return _shift(A0, lam.real)
+
+
+def _shift(A, lam):
+    """A - lam I, subtracting lam on the diagonal only."""
+    lam = Fraction(lam)
+    return [row[:i] + [row[i] - lam] + row[i + 1:] for i, row in enumerate(A)]
 
 
 # -- total projections -------------------------------------------------

@@ -122,8 +122,10 @@ def test_pentagram_covers_twice():
         [(1, 0), (1, 2), (-1, 1), (-1, -1), (1, -2)],
         [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)],
     )
-    with pytest.raises(OverlappingCones, match="lies in 2 maximal cones"):
+    with pytest.raises(OverlappingCones, match="lies in 2 maximal cones") as info:
         validate_fan(fan)
+    # the edge sum (0, 1) of the first cone also lies in the cone (1, 3)
+    assert str(info.value).endswith("maximal cones: (0, 2), (1, 3)")
 
 
 def test_complete_fan_with_cones_on_one_side_of_a_ridge():
@@ -139,6 +141,14 @@ def test_complete_fan_with_cones_on_one_side_of_a_ridge():
 def test_rank_one_complete_fan():
     report = validate_fan(Fan.make(1, [(1,), (-1,)], [(0,), (1,)]))
     assert report.smooth and report.complete and report.notes == ()
+
+
+def test_rank_zero_fan_is_complete():
+    # the one cone is the origin, which is the whole of the zero space
+    fan = Fan.make(0, [], [()])
+    report = validate_fan(fan)
+    assert report.smooth and report.complete and report.notes == ()
+    assert primitive_collections(fan) == set()
 
 
 # -- agreement with pairwise Fourier–Motzkin on random fans --------------
@@ -237,7 +247,8 @@ def _mutate(rng, fan):
     return Fan.make(fan.rank, edges, cones)
 
 
-def test_verdicts_agree_with_pairwise_fourier_motzkin():
+def _corpus():
+    """Seeded random fans, valid or not, and the ladder with mutations."""
     rng = random.Random(6)
     fans = [_circle_fan(rng) for _ in range(150)]
     fans += [_mutate(rng, f) for f in fans[:100]]
@@ -246,6 +257,31 @@ def test_verdicts_agree_with_pairwise_fourier_motzkin():
         fans.append(fan)
         for _ in range(6 if fan.rank <= 3 else 2):
             fans += [_mutate(rng, fan), _mutate(rng, _mutate(rng, fan))]
+    return fans
+
+
+def test_verdicts_agree_with_pairwise_fourier_motzkin():
+    fans = _corpus()
     verdicts = [_oracle(fan) for fan in fans]
     assert [_verdict(fan) for fan in fans] == verdicts
     assert {"ok", "overlap", "invalid"} <= set(verdicts)
+
+
+def _primitive_oracle(fan):
+    """Primitive collections by their definition: every index set that
+    lies in no maximal cone and contains no smaller such set."""
+    def is_face(s):
+        return any(s <= set(c) for c in fan.max_cones)
+
+    found = []
+    for size in range(1, len(fan.edges) + 1):
+        for combo in combinations(range(len(fan.edges)), size):
+            s = frozenset(combo)
+            if not is_face(s) and not any(f <= s for f in found):
+                found.append(s)
+    return set(found)
+
+
+def test_primitive_collections_match_definition():
+    fans = _corpus()  # every ladder fan is in it, as is
+    assert [primitive_collections(f) for f in fans] == [_primitive_oracle(f) for f in fans]
