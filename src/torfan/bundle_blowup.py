@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAFace, NotMonotone
-from .exact_algebra import rank as mat_rank
 from .lattice_fan import Fan
 from .polytope import MomentPolytope, chop, fano_index
 
@@ -45,24 +44,13 @@ def line_bundle_fan(fan_B, spec):
     return Fan.make(n + 1, edges, cones)
 
 
-def _c1_sign_check(fan_E, n_twist, k, lam_B):
-    """Assert that the twist class sum(n_i x_i) agrees with
-    -(k/lam_B) * sum of the base divisor classes modulo the linear
-    relations of the total-space fan."""
-    target = [Fraction(ni) + Fraction(k, lam_B) for ni in n_twist] + [Fraction(0)]
-    rows = [
-        [Fraction(fan_E.edges[i][j]) for i in range(len(fan_E.edges))]
-        for j in range(fan_E.rank)
-    ]
-    if mat_rank(rows) != mat_rank(rows + [target]):
-        raise AssertionError("twist class fails the first-Chern-class identity")
-
-
 def nlb_from_k(fan_B, P_B, k):
     """Monotone negative line bundle of twist k over a monotone base.
 
     Returns (fan, polytope, spec) with polytope support numbers
-    (lambda_B, 0) and index lam_E = lam_B - k.
+    (lambda_B, 0) and index lam_E = lam_B - k.  The twist class is
+    -(k/lam_B) sum x_i by construction: n_i + k/lam_B = k <y0, b_i>
+    for the barycentre y0 that ``fano_index`` solves.
     """
     k = int(k)
     lam_B = fano_index(P_B)
@@ -73,7 +61,6 @@ def nlb_from_k(fan_B, P_B, k):
     n_twist = tuple(k * int(l) for l in P_B.lambdas)
     spec = LineBundleSpec(n_twist, k, lam_B, lam_B - k)
     fan_E = line_bundle_fan(fan_B, spec)
-    _c1_sign_check(fan_E, n_twist, k, lam_B)
     P_E = MomentPolytope.make(
         P_B.rank + 1, fan_E.edges, tuple(P_B.lambdas) + (Fraction(0),)
     )

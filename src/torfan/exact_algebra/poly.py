@@ -89,9 +89,6 @@ class Ring:
             return self.zero()
         return Polynomial(self, {tuple(exponents): c})
 
-    def index(self, name):
-        return self.names.index(name)
-
 
 class Polynomial:
     """Immutable sparse polynomial: monomial tuple -> nonzero Fraction.
@@ -215,39 +212,6 @@ class Polynomial:
     def sorted_terms(self):
         """Terms in decreasing grevlex order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
-    # -- substitution and evaluation ----------------------------------
-
-    def substitute(self, name, value):
-        """Substitute ``value`` (Polynomial of the same ring, or scalar)
-        for the named variable."""
-        i = self.ring.index(name)
-        if isinstance(value, (int, Fraction)):
-            value = self.ring.constant(value)
-        self._check(value)
-        out = self.ring.zero()
-        powers = {0: self.ring.one()}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e not in powers:
-                powers[e] = value ** e
-            rest = list(m)
-            rest[i] = 0
-            out = out + powers[e] * Polynomial(self.ring, {tuple(rest): c})
-        return out
-
-    def evaluate(self, values):
-        """Numeric evaluation at a point (sequence, one value per var)."""
-        numeric = any(isinstance(x, (float, complex)) for x in values)
-        total = 0
-        for m, c in self.terms.items():
-            prod = 1
-            for x, e in zip(values, m):
-                if e:
-                    prod *= x ** e
-            v = complex(c) if isinstance(prod, complex) else (float(c) if numeric else c)
-            total = total + v * prod
-        return total
 
     # -- display -------------------------------------------------------
 

@@ -7,7 +7,6 @@ primitive collections are the minimal non-faces of that face set.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -58,17 +57,11 @@ class FanReport:
 class CurveClass:
     intersections: tuple  # one integer per edge
     c1: int
-    omega: object = None  # Fraction when support numbers were supplied
 
     @staticmethod
-    def make(intersections, lambdas=None):
+    def make(intersections):
         inter = tuple(int(x) for x in intersections)
-        omega = None
-        if lambdas is not None:
-            omega = -sum(
-                (Fraction(l) * n for l, n in zip(lambdas, inter)), Fraction(0)
-            )
-        return CurveClass(inter, sum(inter), omega)
+        return CurveClass(inter, sum(inter))
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def primitive_collections(fan):
     return found
 
 
-def batyrev_decompose(fan, I, lambdas=None):
+def batyrev_decompose(fan, I):
     """Express the sum of the edges of a primitive collection in the
     unique cone containing it, returning the induced curve class."""
     I = frozenset(I)
@@ -258,6 +251,5 @@ def batyrev_decompose(fan, I, lambdas=None):
             intersections[i] += 1
         for j, cq in zip(J, c):
             intersections[j] -= cq
-        cls = CurveClass.make(intersections, lambdas)
-        return PrimitiveRelation(I, tuple(J), tuple(c), cls)
+        return PrimitiveRelation(I, tuple(J), tuple(c), CurveClass.make(intersections))
     raise NoConeContains(f"edge sum of {sorted(I)} lies in no cone")

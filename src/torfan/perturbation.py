@@ -646,7 +646,13 @@ def _canonical_eigenbasis(A, prev_groups):
 def gevec_convergence(fam, ray=None):
     """Cluster the eigenvector lines by their projective limits and, per
     cluster and ray point, measure the gap between the span of its
-    vectors and the matching exact Jordan-block subspace of A(0)."""
+    vectors and the matching exact Jordan-block subspace of A(0).
+
+    Known limitation: a cluster is compared with whichever chain
+    exact_jordan_blocks picks, which A(0) determines only when each
+    eigenvalue carries one Jordan block.  x [[0, 1], [1, 0]] has the
+    constant eigenvectors (1, +-1), yet its clusters end 0.7071 from the
+    chains e_1, e_2 of A(0) = 0, and the report is not ok."""
     ray = list(ray) if ray is not None else default_ray()
     # one pass over the ray: match each point's lines to the tracks by
     # nearest gap

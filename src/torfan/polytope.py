@@ -188,6 +188,6 @@ def chop(P, I, epsilon):
             continue
         if not set(I) <= tight:
             raise ChopTooDeep(
-                f"vertex {vert} away from the chopped face is removed"
+                f"vertex ({', '.join(map(str, vert))}) away from the chopped face is removed"
             )
     return MomentPolytope.make(P.rank, P.edges + (e0,), P.lambdas + (lambda0,))

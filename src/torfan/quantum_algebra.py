@@ -120,7 +120,7 @@ def qh_presentation(fan, P):
 
     qsr = []
     for I in sorted(primitive_collections(fan), key=sorted):
-        rel = batyrev_decompose(fan, I, lambdas=P.lambdas)
+        rel = batyrev_decompose(fan, I)
         if rel.curve_class.c1 < 0:
             raise ValidationError(
                 f"primitive collection {sorted(i + 1 for i in I)}"

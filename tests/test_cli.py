@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torfan
-from torfan import errors
+from torfan import errors, perturbation
 from torfan.cli import COMMANDS, main, parse_fan_document, parse_matrix_document
 
 EXAMPLES = files("torfan") / "examples"
@@ -130,6 +130,22 @@ def test_kato_pole_exponent(capsys):
         ), name
 
 
+@pytest.mark.parametrize("name", ["kato_upper.json", "kato_3x3.json"])
+def test_kato_examples_make_no_contour_call(capsys, monkeypatch, name):
+    # total projections and pole exponents come from the eigen-decomposition
+    calls = []
+    project = perturbation.eigenprojection
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "eigenprojection", counting)
+    code, _, _ = run(capsys, "kato", "--input", example(name), "--format", "json")
+    assert code == 0
+    assert calls == []
+
+
 def test_kato_reports_a_cluster_the_contour_cannot_resolve(capsys, tmp_path):
     # [[x^2, 1], [0, 0]]: near x = 3e-6 the gap x^2 is ~1e-11, so every
     # node of the cluster circle lies within 1e-12 of the spectrum
@@ -173,6 +189,29 @@ def test_blowup_of_a_ray_is_not_a_face(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "blowup", "--input", str(path))
     assert code == 1 and not out and err.startswith("NotAFace:")
+
+
+def test_chop_too_deep_names_the_vertex_in_rationals(capsys, tmp_path):
+    # chopping the corner of P^2 at depth 100 removes the vertex (0, 1)
+    doc = {
+        "rank": 2,
+        "edges": [[1, 0], [0, 1], [-1, -1]],
+        "max_cones": [[1, 2], [2, 3], [3, 1]],
+        "lambdas": [0, 0, -1],
+        "blowup": {"I": [1, 2], "epsilon": 100},
+    }
+    path = tmp_path / "deep_chop.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "blowup", "--input", str(path))
+    assert code == 1 and not out
+    assert err == "ChopTooDeep: vertex (0, 1) away from the chopped face is removed\n"
+
+
+def test_blowup_index_out_of_range_is_a_validation_error(capsys):
+    path = Path(__file__).parent / "malformed" / "blowup_index_out_of_range.json"
+    code, out, err = run(capsys, "blowup", "--input", str(path))
+    assert code == 2 and not out
+    assert err == "ValidationError: blowup index 9 out of range\n"
 
 
 @pytest.mark.parametrize("command", ["separate", "blowup"])

@@ -77,8 +77,8 @@ def test_incomplete_fan_reported():
 
 
 def test_batyrev_decompose_product(p1xp1):
-    fan, P = p1xp1
-    rel = batyrev_decompose(fan, frozenset({0, 1}), lambdas=P.lambdas)
+    fan, _ = p1xp1
+    rel = batyrev_decompose(fan, frozenset({0, 1}))
     assert rel.c == ()
     assert rel.curve_class.c1 == 2
 
