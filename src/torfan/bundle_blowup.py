@@ -97,7 +97,8 @@ def _blowup(fan, P, I, epsilon):
     if len(I) < 2:
         raise NotAFace("face blow-up needs at least two facets")
     if not any(set(I) <= set(c) for c in fan.max_cones):
-        raise NotAFace(f"{I} spans no cone of the fan")
+        named = ", ".join(f"({', '.join(map(str, fan.edges[i]))})" for i in I)
+        raise NotAFace(f"edges {named} span no cone of the fan")
     if epsilon is None:
         epsilon = monotone_epsilon(I)
     if all(l == -1 for l in P.lambdas) and epsilon != monotone_epsilon(I):

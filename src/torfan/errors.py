@@ -42,7 +42,7 @@ class Inconsistent(TorfanError):
 
 
 class ChopTooDeep(TorfanError):
-    """A polytope chop removes a vertex away from the chopped face."""
+    """A polytope chop removes, or meets, a vertex away from the chopped face."""
 
 
 class NotMonotone(TorfanError):

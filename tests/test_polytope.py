@@ -100,3 +100,13 @@ def test_chop_too_deep(p2):
     _, P = p2
     with pytest.raises(ChopTooDeep):
         chop(P, [0, 1], F(3))
+
+
+def test_chop_onto_a_vertex_is_too_deep(p1xp1):
+    # the unit square chopped at the corner (0, 0) to depth 1: the line
+    # y1 + y2 = 1 passes through (1, 0) and (0, 1), so two facets would
+    # shrink to points and the pentagon would be a triangle
+    _, P = p1xp1
+    with pytest.raises(ChopTooDeep, match=r"vertex \(0, 1\) .* is on the new facet"):
+        chop(P, [0, 2], F(1))
+    assert len(vertices(chop(P, [0, 2], F(1, 2))).vertices) == 5
