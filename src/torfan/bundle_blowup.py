@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAFace, NotMonotone
-from .lattice_fan import Fan
+from .lattice_fan import Fan, edge_names
 from .polytope import MomentPolytope, chop, fano_index
 
 __all__ = [
@@ -97,8 +97,7 @@ def _blowup(fan, P, I, epsilon):
     if len(I) < 2:
         raise NotAFace("face blow-up needs at least two facets")
     if not any(set(I) <= set(c) for c in fan.max_cones):
-        named = ", ".join(f"({', '.join(map(str, fan.edges[i]))})" for i in I)
-        raise NotAFace(f"edges {named} span no cone of the fan")
+        raise NotAFace(f"edges {edge_names(fan, I)} span no cone of the fan")
     if epsilon is None:
         epsilon = monotone_epsilon(I)
     if all(l == -1 for l in P.lambdas) and epsilon != monotone_epsilon(I):

@@ -43,10 +43,6 @@ def identity(n):
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 

@@ -28,6 +28,7 @@ __all__ = [
     "validate_fan",
     "primitive_collections",
     "batyrev_decompose",
+    "edge_names",
 ]
 
 
@@ -72,6 +73,13 @@ class PrimitiveRelation:
     curve_class: CurveClass
 
 
+def edge_names(fan, I):
+    """The edges indexed by I as vectors, "(1, 0), (-1, 0)": the fan
+    indexes its edges from 0 and documents from 1, so messages name
+    edges by what they are."""
+    return ", ".join(f"({', '.join(map(str, fan.edges[i]))})" for i in I)
+
+
 def _check_structure(fan):
     n = fan.rank
     for e in fan.edges:
@@ -83,10 +91,13 @@ def _check_structure(fan):
         if any(i < 0 or i >= len(fan.edges) for i in cone):
             raise ValidationError(f"cone {cone} indexes a missing edge")
         if len(set(cone)) != len(cone):
-            raise ValidationError(f"cone {cone} repeats an edge")
+            raise ValidationError(f"cone [{edge_names(fan, cone)}] repeats an edge")
     for ca, cb in combinations(fan.max_cones, 2):
         if set(ca) <= set(cb) or set(cb) <= set(ca):
-            raise ValidationError(f"maximal cones {ca} and {cb} are equal or nested")
+            raise ValidationError(
+                f"maximal cones [{edge_names(fan, ca)}] and [{edge_names(fan, cb)}]"
+                " are equal or nested"
+            )
 
 
 def _max_minor_gcd(rows, n):
@@ -152,10 +163,12 @@ def validate_fan(fan):
             simplicial = rank(rows) == len(cone)
             unimodular = simplicial and _max_minor_gcd(rows, n) == 1
         if not simplicial:
-            raise ValidationError(f"cone {cone} is not simplicial (dependent edges)")
+            raise ValidationError(
+                f"cone [{edge_names(fan, cone)}] is not simplicial (dependent edges)"
+            )
         if not unimodular:
             smooth = False
-            notes.append(f"cone {cone} does not extend to a lattice basis")
+            notes.append(f"cone [{edge_names(fan, cone)}] does not extend to a lattice basis")
 
     # Cones list their edges in index order, so a ridge is one tuple in
     # every cone on it.  The side of the ridge on which the cone's k-th
@@ -172,8 +185,9 @@ def validate_fan(fan):
         for a, side in sides:
             if side in seen:
                 raise OverlappingCones(
-                    f"cones {fan.max_cones[seen[side]]} and {fan.max_cones[a]}"
-                    " lie on the same side of their common ridge"
+                    f"cones [{edge_names(fan, fan.max_cones[seen[side]])}] and"
+                    f" [{edge_names(fan, fan.max_cones[a])}] lie on the same side"
+                    " of their common ridge"
                 )
             seen[side] = a
 
@@ -187,15 +201,18 @@ def validate_fan(fan):
         holding = [c for c in fan.max_cones if all(x >= 0 for x in _coordinates(fan, c, v))]
         if len(holding) != 1:
             raise OverlappingCones(
-                f"the ray {tuple(v)} through the interior of cone {first} lies in"
-                f" {len(holding)} maximal cones: {', '.join(map(str, holding))}"
+                f"the ray {tuple(v)} through the interior of cone"
+                f" [{edge_names(fan, first)}] lies in {len(holding)} maximal cones: "
+                + ", ".join(f"[{edge_names(fan, c)}]" for c in holding)
             )
     else:
         adjacent = {frozenset(a for a, _ in sides) for sides in ridges.values()}
         for a, b in combinations(range(len(fan.max_cones)), 2):
             ca, cb = fan.max_cones[a], fan.max_cones[b]
             if frozenset((a, b)) not in adjacent and not _cones_meet_in_face(fan, ca, cb):
-                raise OverlappingCones(f"cones {ca} and {cb} overlap")
+                raise OverlappingCones(
+                    f"cones [{edge_names(fan, ca)}] and [{edge_names(fan, cb)}] overlap"
+                )
 
     covered = set().union(*map(set, fan.max_cones)) if fan.max_cones else set()
     if covered != set(range(len(fan.edges))):
@@ -252,4 +269,4 @@ def batyrev_decompose(fan, I):
         for j, cq in zip(J, c):
             intersections[j] -= cq
         return PrimitiveRelation(I, tuple(J), tuple(c), CurveClass.make(intersections))
-    raise NoConeContains(f"edge sum of {sorted(I)} lies in no cone")
+    raise NoConeContains(f"the sum of edges {edge_names(fan, sorted(I))} lies in no cone")

@@ -3,8 +3,8 @@ reflexivity, monotone normalization, barycentres, and facet chops."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, gcd
+from itertools import combinations
+from math import gcd
 
 from ._feas import feasible_point, recession_ray
 from .errors import (
@@ -100,33 +100,16 @@ def is_bounded(P):
     return recession_ray(P.edges, P.rank) is None
 
 
-def _interior_lattice_points(P, V):
-    """Strictly interior integer points, scanned over the vertex
-    bounding box (bounded polytopes only)."""
-    coords = list(zip(*V.vertices))
-    lo = [ceil(min(c)) for c in coords]
-    hi = [floor(max(c)) for c in coords]
-    pts = []
-    for y in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(
-            sum(a * b for a, b in zip(e, y)) > l
-            for e, l in zip(P.edges, P.lambdas)
-        ):
-            pts.append(y)
-    return pts
-
-
 def check_reflexive(P):
-    """Integral vertices, every support number -1, and 0 the only
-    interior lattice point."""
+    """Every support number -1 and every vertex integral.  Then 0 is the
+    only interior lattice point: an integer y with <y, e_i> > -1 has
+    <y, e_i> >= 0 for all i, so y is in the recession cone, {0} here."""
     if not is_bounded(P):
         raise Unbounded("reflexivity needs a bounded polytope")
     if any(l != -1 for l in P.lambdas):
         return False
     V = vertices(P)
-    if any(c.denominator != 1 for v in V.vertices for c in v):
-        return False
-    return _interior_lattice_points(P, V) == [(0,) * P.rank]
+    return all(c.denominator == 1 for v in V.vertices for c in v)
 
 
 def normalize_monotone(P, v):

@@ -365,6 +365,61 @@ def test_overlapping_cones_exit_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+PENTAGRAM = {
+    "rank": 2,
+    "edges": [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]],
+    "max_cones": [[1, 3], [3, 5], [5, 2], [2, 4], [4, 1]],
+    "lambdas": ["-1"] * 5,
+}
+
+
+def test_overlap_names_the_cones_by_their_edges(capsys, tmp_path):
+    # the document's cones [1, 3] and [2, 4] both hold the ray (0, 1)
+    path = tmp_path / "pentagram.json"
+    path.write_text(json.dumps(PENTAGRAM))
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 1 and not out
+    assert err == (
+        "OverlappingCones: the ray (0, 1) through the interior of cone [(1, 0), (-1, 1)]"
+        " lies in 2 maximal cones: [(1, 0), (-1, 1)], [(1, 2), (-1, -1)]\n"
+    )
+
+
+def test_non_smooth_note_names_the_cone_by_its_edges(capsys, tmp_path):
+    doc = {**P2, "edges": [[1, 0], [1, 2], [-1, -1]], "lambdas": ["-1"] * 3}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", "--input", str(path), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and not results["smooth"]
+    assert results["notes"] == ["cone [(1, 0), (1, 2)] does not extend to a lattice basis"]
+    assert results["primitive_collections"] == [[1, 2, 3]]
+
+
+def test_validate_reflexive_p8_reads_reflexivity_off_the_support(tmp_path):
+    # the bounding box of reflexive P^8 holds 10^8 lattice points; a scan
+    # of them would not finish within the timeout
+    m = 8
+    doc = {
+        "rank": m,
+        "edges": [[int(i == j) for j in range(m)] for i in range(m)] + [[-1] * m],
+        "max_cones": [[j for j in range(1, m + 2) if j != i] for i in range(1, m + 2)],
+        "lambdas": ["-1"] * (m + 1),
+    }
+    path = tmp_path / "p8_reflexive.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    src = str(Path(torfan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "torfan.cli", "validate", "--input", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["reflexive"] is True and results["vertex_count"] == m + 1
+
+
 FRACTIONAL_SUPPORT = [
     ({**P2, "lambdas": ["1/2", 0, -1]}, 3),
     (

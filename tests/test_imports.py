@@ -4,12 +4,15 @@ private helpers: every module-level ``_name`` function, class or
 constant under src/torfan is named somewhere in src/torfan outside its
 own definition.
 No dead local stores: every local name a function under src/torfan
-assigns, unless it starts with ``_``, is also read."""
+assigns, unless it starts with ``_``, is also read.  No dead exports:
+every name in ``torfan.exact_algebra.__all__`` is read somewhere in
+src/, tests/ or perfbench/."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "torfan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "torfan"
 
 
 def _imported(tree):
@@ -190,3 +193,16 @@ def test_dead_store_is_seen():
         "    return g\n"
     )
     assert dead_stores(source) == [("f", "pres"), ("f", "i"), ("f", "total")]
+
+
+def test_every_exact_algebra_export_is_read():
+    init = SRC / "exact_algebra" / "__init__.py"
+    exported = _exported(ast.parse(init.read_text(encoding="utf-8")))
+    assert exported
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert sorted(exported - read) == []

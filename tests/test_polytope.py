@@ -1,8 +1,12 @@
 """Unit tests for moment-polytope geometry."""
 
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 import pytest
+
+from conftest import product_of_lines, projective_space, reflexive_blowup
 
 from torfan.errors import (
     ChopTooDeep,
@@ -60,6 +64,68 @@ def test_reflexive_fails_on_wrong_support():
     assert not check_reflexive(
         MomentPolytope.make(2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -1])
     )
+
+
+def _interior_lattice_points(P):
+    """Integer points strictly inside the bounded polytope P, scanned
+    over the bounding box of its vertices."""
+    coords = list(zip(*vertices(P).vertices))
+    box = product(*(range(ceil(min(c)), floor(max(c)) + 1) for c in coords))
+    return [
+        y
+        for y in box
+        if all(sum(a * b for a, b in zip(e, y)) > l for e, l in zip(P.edges, P.lambdas))
+    ]
+
+
+def _reflexive_by_scan(P):
+    """Reflexivity as first defined: every support number -1, integral
+    vertices, and 0 the only interior lattice point."""
+    return (
+        all(l == -1 for l in P.lambdas)
+        and all(c.denominator == 1 for v in vertices(P).vertices for c in v)
+        and _interior_lattice_points(P) == [(0,) * P.rank]
+    )
+
+
+def _cube(m):
+    edges = [tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)]
+    return MomentPolytope.make(m, edges, [-1] * (2 * m))
+
+
+SCAN_CASES = (
+    [(f"reflexive P{m}", reflexive_blowup(m, 0)[1], True) for m in (2, 3, 4)]
+    + [("square", _cube(2), True), ("cube", _cube(3), True)]
+    + [
+        (f"reflexive P{m} blown up at {k}", reflexive_blowup(m, k)[1], True)
+        for m, k in ((2, 1), (2, 2), (2, 3), (3, 1))
+    ]
+    + [(f"P{m}", projective_space(m)[1], False) for m in (2, 3, 4)]
+    + [(f"P1^{k}", product_of_lines(k)[1], False) for k in (2, 3)]
+    + [
+        # every support number -1, but a vertex at (-3/5, -1/5)
+        (
+            "fractional triangle",
+            MomentPolytope.make(2, [(1, 2), (2, -1), (-1, -1)], [-1] * 3),
+            False,
+        ),
+        # the vertex on the first two facets is (-1, -1, 3/2)
+        (
+            "fractional simplex",
+            MomentPolytope.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)], [-1] * 4),
+            False,
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("P,reflexive", [pytest.param(P, r, id=n) for n, P, r in SCAN_CASES])
+def test_check_reflexive_matches_the_lattice_scan(P, reflexive):
+    assert check_reflexive(P) == _reflexive_by_scan(P) == reflexive
+    # with every support number -1 the origin is the only interior
+    # lattice point, whether or not the vertices are integral
+    if all(l == -1 for l in P.lambdas):
+        assert _interior_lattice_points(P) == [(0,) * P.rank]
 
 
 def test_normalize_monotone_simplex():

@@ -22,9 +22,7 @@ from torfan.exact_algebra import (
     grevlex_key,
     identity,
     localize,
-    mat_add,
     mat_mul,
-    mat_scale,
     normal_form,
     quotient_algebra,
     zero_matrix,
@@ -78,7 +76,7 @@ def _operator(A, f):
         for name, e in zip(A.ring.names, m):
             for _ in range(e):
                 term = mat_mul(A.mult_matrices[name], term)
-        out = mat_add(out, mat_scale(term, c))
+        out = [[o + c * t for o, t in zip(ro, rt)] for ro, rt in zip(out, term)]
     return out
 
 

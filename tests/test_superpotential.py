@@ -19,9 +19,7 @@ from torfan.exact_algebra import (
     groebner_basis,
     identity,
     inverse,
-    mat_add,
     mat_mul,
-    mat_scale,
     quotient_algebra,
     zero_matrix,
 )
@@ -153,7 +151,7 @@ def _inverse_operator(A, edges, coeffs):
                 inv_mats[j] = inverse(mats[j])
             for _ in range(abs(ej)):
                 term = mat_mul(mats[j] if ej > 0 else inv_mats[j], term)
-        out = mat_add(out, mat_scale(term, c))
+        out = [[o + c * t for o, t in zip(ro, rt)] for ro, rt in zip(out, term)]
     return out
 
 

@@ -20,11 +20,8 @@ from torfan.exact_algebra import (
     factor_rational_poly,
     grevlex_key,
     groebner_basis,
-    identity,
     jordan_profile,
-    mat_add,
     mat_mul,
-    mat_scale,
     minpoly,
     rank,
 )
@@ -113,7 +110,9 @@ def _poly_at(p, M):
     n = len(M)
     out = [[F(0)] * n for _ in range(n)]
     for k in range(p.degree(), -1, -1):
-        out = mat_add(mat_mul(out, M), mat_scale(identity(n), p.coeff((k,))))
+        out = mat_mul(out, M)
+        for i in range(n):
+            out[i][i] += p.coeff((k,))
     return out
 
 
