@@ -504,9 +504,11 @@ def run_command(cmd, text, args):
 
 def _epsilon(text):
     try:
-        return Fraction(text)
+        return _float_range(Fraction(text), text, "--epsilon")
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _build_parser():

@@ -1,13 +1,12 @@
 """Holomorphic matrix families and their spectral perturbation theory:
-total projections of eigenvalue clusters (their limits, pole
-exponents), read as V_c (V^-1)_c from the eigen-decomposition
-A = V diag(w) V^-1, with a fixed-node trapezoid contour integral only
-where V is numerically singular or too ill-conditioned for that closed
-form, eigenvalue tracking along a ray, first-order derivative spectra
-by Kato's reduction process (exact on real families, numeric on complex
-ones), the bounded projections v y^H / (y^H v) of the simple branches
-through a semisimple eigenvalue, the gap ||V - U (U^H V)||_2 between
-subspaces with orthonormal bases U and V, and convergence of
+total projections of eigenvalue clusters and pole exponents, read as
+V_c (V^-1)_c from the eigen-decomposition A = V diag(w) V^-1, with a
+fixed-node trapezoid contour only where V is numerically singular or
+too ill-conditioned; eigenvalue tracking along a ray; first-order
+derivative spectra by Kato's reduction process; continuity checks whose
+verdicts are Kato's theorems, decided exactly on real families, with
+the ray kept as a residual and its log-log slope; the gap
+||V - U (U^H V)||_2 between subspaces; and convergence of
 (generalized) eigenvector spans."""
 
 import math
@@ -363,63 +362,95 @@ def _total_projection(A, decomposition, lam, m):
     return eigenprojection(A, lam, radius).matrix
 
 
+def _loglog_slope(xs, ys):
+    """Least-squares slope of log y against log x over the last six
+    points: k for y ~ x^k."""
+    return float(np.polyfit(np.log(xs[-6:]), np.log(ys[-6:]), 1)[0])
+
+
+def _ray_residual(ray, error, scale, exact):
+    """(xs, errors, slope, ok) of a continuity check on the ray (default_ray()
+    when None) after its last point where error(x) raises ClusterAmbiguous;
+    fewer than six points left raise.  slope (_loglog_slope) is None once
+    the last error is within 1e-12 * max(1, scale), the closed form's
+    accuracy.  ok is Kato's theorem when its hypothesis was decided
+    exactly, else the slope's: O(x) gives >= 1, no convergence <= 0."""
+    kept, reason = [], "the ray ends"
+    for x in reversed(default_ray() if ray is None else list(ray)):
+        try:
+            kept.append((x, error(x)))
+        except ClusterAmbiguous as exc:
+            reason = f"at x = {x}: {exc}"
+            break
+    if len(kept) < 6:
+        raise ClusterAmbiguous(f"{len(kept)} isolated ray points, fewer than six ({reason})")
+    xs, errors = [list(t) for t in zip(*reversed(kept))]
+    slope = None if errors[-1] <= 1e-12 * max(1.0, scale) else _loglog_slope(xs, errors)
+    return xs, errors, slope, exact or slope is None or slope >= 0.5
+
+
 @dataclass
 class TotalProjectionReport:
-    ray: list
-    norms: list
-    errors: list
-    bounded: bool
-    converges: bool
+    ray: list  # the kept tail of the sample ray
+    errors: list  # ||P(x) - K L||_2 per kept ray point
+    slope: object  # log-log slope of the errors, None at the floor
+    ok: bool
     limit: np.ndarray
 
-    @property
-    def ok(self):
-        return self.bounded and self.converges
 
-
-def total_projection_limit_check(fam, lam, ray=None):
-    """Total projection of the eigenvalue cluster converging to lam
-    along the ray: boundedness and convergence to the exact
-    generalized eigenprojection of A(0).  Each projection, and the
-    numeric limit of a complex family, is read from the
-    eigen-decomposition (_total_projection); a contour runs only where
-    the eigenvectors are numerically dependent or too ill-conditioned."""
-    ray = list(ray) if ray is not None else default_ray()
+def _spectral_basis(fam, lam):
+    """(K, L, semisimple): the columns of K span the generalized
+    eigenspace of A(0) at lam, L is its dual basis (L K = I, L zero on
+    the other generalized eigenspaces), so K L is the total projection
+    there.  Exact (_spectral_basis_exact) when A(0) and lam are real.
+    Otherwise numeric: K an orthonormal basis of the range of the total
+    projection P of the m eigenvalues within a relative 1e-8 of lam,
+    L = K^H P, and semisimple when A(0) - lam has rank n - m at 1e-8.
+    ValueError when lam is not an eigenvalue."""
     N = _exact_shift(fam, lam)
     if N is not None:
-        K, L, _ = _spectral_basis_exact(N)
-        limit, m = to_numpy(mat_mul(K, L)), len(L)
+        K, L, depth = _spectral_basis_exact(N)
+        semisimple = depth <= 1
     else:
         A0 = fam(0.0)
         eig0 = _eigen_decomposition(A0)
         w = eig0[0]
         m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
-    if m == 0:
+        P = _total_projection(A0, eig0, lam, m) if m else np.zeros_like(A0)
+        K = np.linalg.svd(P)[0][:, :m]
+        L = K.conj().T @ P
+        semisimple = np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m
+    if not len(L):
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
-    if N is None:
-        limit = _total_projection(A0, eig0, lam, m)
-    norms, errors = [], []
-    for x in ray:
+    return K, L, semisimple
+
+
+def total_projection_limit_check(fam, lam, ray=None):
+    """The total projection P(x) of the lam-group is holomorphic while
+    the group stays isolated (Kato, II §1.4): on a real family it tends
+    to the exact K L.  The residual ||P(x) - K L||_2 (_ray_residual)
+    decides only a complex family's verdict.  Each P(x) is read from the
+    eigen-decomposition (_total_projection)."""
+    K, L, _ = _spectral_basis(fam, lam)
+    exact, m = isinstance(L, list), len(L)
+    limit = to_numpy(mat_mul(K, L)) if exact else K @ L
+
+    def error(x):
         A = fam(x)
         P = _total_projection(A, _eigen_decomposition(A), lam, m)
-        norms.append(float(np.linalg.norm(P, 2)))
-        errors.append(float(np.linalg.norm(P - limit, 2)))
-    bounded = max(norms) <= 2.0 * norms[-1] + 1e-6
-    converges = errors[-1] <= max(10.0 * ray[-1], 1e-8) and all(
-        errors[k + 1] <= errors[k] + 1e-9 for k in range(len(errors) - 1)
-    )
-    return TotalProjectionReport(ray, norms, errors, bounded, converges, limit)
+        return float(np.linalg.norm(P - limit, 2))
+
+    scale = float(np.linalg.norm(limit, 2))
+    return TotalProjectionReport(*_ray_residual(ray, error, scale, exact), limit)
 
 
 def pole_exponent(fam, path):
-    """Least-squares slope of log ||P(x)||_2 against log x over the last
-    six samples of a tracked branch (an EigenPath), P the total
-    projection of the eigenvalues within 1e-12 of it: -k for a pole of
-    order k.  P is read from the eigen-decomposition (_total_projection);
-    a contour runs only where the eigenvectors are numerically dependent
-    or too ill-conditioned.  None when the cluster cannot be resolved:
-    its gap has closed (ClusterAmbiguous) or the circle about it comes
-    within 1e-12 of an eigenvalue (ContourHitsSpectrum)."""
+    """_loglog_slope of ||P(x)||_2 over the last six samples of a
+    tracked branch (an EigenPath), P the total projection
+    (_total_projection) of the eigenvalues within 1e-12 of it: -k for a
+    pole of order k.  None when the cluster cannot be resolved: its gap
+    has closed (ClusterAmbiguous) or the circle about it comes within
+    1e-12 of an eigenvalue (ContourHitsSpectrum)."""
     xs, norms = [], []
     for x, lam in path.samples[-6:]:
         A = fam(x)
@@ -429,39 +460,21 @@ def pole_exponent(fam, path):
             P = _total_projection(A, eig, lam, m)
         except (ClusterAmbiguous, ContourHitsSpectrum):
             return None
-        xs.append(np.log(x))
-        norms.append(np.log(np.linalg.norm(P, 2)))
-    return float(np.polyfit(xs, norms, 1)[0])
+        xs.append(x)
+        norms.append(np.linalg.norm(P, 2))
+    return _loglog_slope(xs, norms)
 
 
 # -- derivative spectrum ----------------------------------------------
 
 
 def _check_semisimple(fam, lam):
-    """(K, L): the columns of K span the eigenspace of A(0) at lam and L
-    is its dual basis (L K = I, L zero on the other eigenspaces).  Exact
-    when A(0) and lam are real; otherwise numeric, from the eigenvectors
-    (K) and left eigenvectors Y (L = (Y^H K)^-1 Y^H) with eigenvalue
-    within 1e-8.  Raises NotSemisimple when lam carries a nontrivial
-    Jordan block (numerically: ranks at 1e-8), ValueError when lam is not
-    an eigenvalue."""
-    N = _exact_shift(fam, lam)
-    if N is not None:
-        K, L, depth = _spectral_basis_exact(N)
-        if depth > 1:
-            raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-    else:
-        A0 = fam(0.0)
-        N = A0 - lam * np.eye(A0.shape[0])
-        if np.linalg.matrix_rank(N, tol=1e-8) != np.linalg.matrix_rank(N @ N, tol=1e-8):
-            raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-        w, v = np.linalg.eig(A0)
-        wl, vl = np.linalg.eig(A0.conj().T)
-        K = v[:, np.abs(w - lam) < 1e-8]
-        Yh = vl[:, np.abs(wl - np.conj(lam)) < 1e-8].conj().T
-        L = np.linalg.solve(Yh @ K, Yh)
-    if not len(L):
-        raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
+    """(K, L) of _spectral_basis, whose K then spans the eigenspace of
+    A(0) at lam; NotSemisimple when lam carries a nontrivial Jordan
+    block."""
+    K, L, semisimple = _spectral_basis(fam, lam)
+    if not semisimple:
+        raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
     return K, L
 
 
@@ -502,57 +515,35 @@ def derivative_spectrum(fam, lam, ray=None):
 @dataclass
 class SemisimpleReport:
     derivatives: list
-    norms_bounded: bool
-    cauchy: bool
-    limit_distance: float
-
-    @property
-    def ok(self):
-        return self.norms_bounded and self.cauchy and self.limit_distance <= 1e-3
+    ray: list  # the kept tail of the sample ray
+    errors: list  # largest gap from a branch's eigenline to span(K)
+    slope: object  # log-log slope of the errors, None at the floor
+    ok: bool
 
 
 def semisimple_convergence_check(fam, lam, ray=None):
-    """Through a semisimple eigenvalue lam of A(0), the eigenprojections
-    of the individual branches stay bounded along the ray and their
-    eigenlines are Cauchy, with limits spanning the exact eigenspace of
-    A(0).  Each branch is simple at x > 0, so with A = V diag(w) V^-1 its
-    projection v y^H / (y^H v) (Kato, I §5) is v_i (V^-1)_i, of 2-norm
-    ||v_i|| ||(V^-1)_i||: one inverse per ray point, no contour.  Raises
-    ClusterAmbiguous when V is numerically singular: two branches met."""
-    ray = list(ray) if ray is not None else default_ray()
+    """Through a semisimple lam whose reduced matrix L A_1 K has distinct
+    eigenvalues the branches are holomorphic (Kato, II §2.3): on a real
+    family the check holds once _reduced_derivatives finds the reduced
+    charpoly squarefree (else DerivativesCollide).  The residual is the
+    largest gap from a branch's eigenline (a unit column of V) to span(K);
+    a ray point fails where _cluster_radius raises or V is singular."""
     K, L = _check_semisimple(fam, lam)
     ders, distinct = _reduced_derivatives(fam, K, L)
     if not distinct:
         raise DerivativesCollide(f"first-order derivatives {ders} repeat")
     m = len(ders)
+    Q = Subspace.from_vectors(np.asarray(K, dtype=complex)).orthonormal_basis
 
-    lines = {j: [] for j in range(m)}
-    norms = {j: [] for j in range(m)}
-    prev_members = None
-    for x in ray:
-        w, v, Vinv = _eigen_decomposition(fam(x))
-        idx = np.argsort(np.abs(w - lam))[:m]
-        members = spectral_order(idx, key=lambda i: w[i])
-        if prev_members is not None:
-            # keep branch identity by nearest previous eigenvalue
-            matches = match_nearest(prev_members, [w[i] for i in members])
-            members = [members[j] for j, _, _ in matches]
-        prev_members = [w[i] for i in members]
+    def error(x):
+        w, V, Vinv = _eigen_decomposition(fam(x))
+        _cluster_radius(w, lam, m)
         if Vinv is None:
             raise ClusterAmbiguous(f"eigenvectors at x = {x} are dependent: two branches met")
-        for j, i in enumerate(members):
-            norms[j].append(float(np.linalg.norm(v[:, i]) * np.linalg.norm(Vinv[i])))
-            lines[j].append(v[:, i] / np.linalg.norm(v[:, i]))
+        lines = V[:, np.argsort(np.abs(w - lam))[:m]]
+        return float(np.linalg.norm(lines - Q @ (Q.conj().T @ lines), axis=0).max())
 
-    norms_bounded = all(max(ns) <= 2.0 * ns[-1] + 1e-6 for ns in norms.values())
-    cauchy = True
-    for ls in lines.values():
-        d = [_gap(a, b) for a, b in zip(ls, ls[1:])]
-        cauchy &= not (d and (d[-1] > 1e-4 or any(b > a + 1e-6 for a, b in zip(d, d[1:]))))
-    limits = np.column_stack([ls[-1] for ls in lines.values()])
-    eigenspace = Subspace.from_vectors(np.asarray(K, dtype=complex))
-    limit_distance = subspace_distance(Subspace.from_vectors(limits), eigenspace)
-    return SemisimpleReport(ders, norms_bounded, cauchy, limit_distance)
+    return SemisimpleReport(ders, *_ray_residual(ray, error, 1.0, isinstance(L, list)))
 
 
 # -- generalized eigenvector convergence ------------------------------

@@ -19,6 +19,7 @@ from .errors import (
     MirrorMismatch,
     NewtonDiverged,
     SeparationFailed,
+    ValidationError,
 )
 from .exact_algebra import (
     Ring,
@@ -364,12 +365,17 @@ def perturb_and_separate(P, seed, radius=Fraction(1, 100)):
     the real-coefficient superpotential exp(-lambda'_i) z^{e_i}
     (rationalized for the exact quotient), and report on Morseness and
     the separation of the critical values."""
+    if radius < 0:
+        raise ValidationError(f"perturbation radius {radius} is negative")
     rng = random.Random(seed)
     radius = float(radius)
     lam_pert = [float(l) + rng.uniform(-radius, radius) for l in P.lambdas]
-    coeffs = [
-        Fraction(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert
-    ]
+    try:  # each e^-lambda' must be a float, nonzero at denominator 10^8
+        coeffs = [Fraction(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert]
+    except (OverflowError, ValueError):
+        coeffs = [0]
+    if 0 in coeffs:
+        raise ValidationError(f"perturbation radius {radius:g} sends a coefficient out of range")
     W = build_superpotential(P)
     J = jacobian_ring(W, coefficients=coeffs)
     pts = critical_points(W, coefficients=coeffs, jac=J, seed=seed)

@@ -247,6 +247,30 @@ def test_zero_denominator_epsilon_is_a_usage_error(capsys, command):
     assert "--epsilon" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        ("1e300", "radius 1e+300 sends a coefficient out of range"),  # e^-lambda' overflows
+        ("40", "radius 40 sends a coefficient out of range"),  # e^-lambda' rounds to 0
+        ("-5", "radius -5 is negative"),
+    ],
+)
+def test_separate_radius_out_of_range_is_a_validation_error(capsys, epsilon, message):
+    code, out, err = run(
+        capsys, "separate", "--input", example("p1xp1_nlb.json"), f"--epsilon={epsilon}"
+    )
+    assert code == 2 and not out
+    assert err.startswith("ValidationError: perturbation ") and message in err
+
+
+def test_separate_radius_beyond_the_floats_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", "--input", example("p1xp1_nlb.json"), "--epsilon=1e400"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "'1e400' is outside the range of a float" in err and "Traceback" not in err
+
+
 def test_sh_of_affine_space_is_zero(capsys):
     # SH*(C^3) = 0: an empty omega operator, not a traceback
     code, out, _ = run(

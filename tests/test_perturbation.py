@@ -189,7 +189,8 @@ def test_track_eigenvalues():
 def test_total_projection_limit():
     rep = total_projection_limit_check(UPPER, 0)
     assert rep.ok and np.allclose(rep.limit, np.eye(2))
-    assert rep.errors[-1] <= 1e-10
+    # P(x) = I at every x: the residual sits at the floor, with no slope
+    assert rep.errors[-1] <= 1e-10 and rep.slope is None
 
 
 def test_derivative_spectrum_semisimple_guard():
@@ -254,7 +255,8 @@ def test_derivative_spectrum_reads_no_contour(monkeypatch, fam, lam):
 def test_semisimple_convergence():
     fam = MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]])
     rep = semisimple_convergence_check(fam, 0)
-    assert rep.ok and rep.limit_distance <= 1e-6
+    # the eigenlines (1, +-1) are constant: the residual sits at the floor
+    assert rep.ok and rep.errors[-1] <= 1e-6 and rep.slope is None
 
 
 @pytest.mark.parametrize(
@@ -270,13 +272,26 @@ def test_semisimple_check_reads_no_contour(monkeypatch, fam, lam):
     assert calls == []
 
 
+def _meeting_branches(k):
+    """[[x, x], [0, -x + c x^2]] with c = 2 / ray[k]: derivatives 1 and -1
+    at 0, and the branches meet in a Jordan block at the ray point ray[k]."""
+    x = default_ray()[k]
+    fam = MatrixFamily.make([[(0, 1), (0, 1)], [(0,), (0, -1, 2 / x)]])
+    assert fam(x)[1, 1] == x
+    return fam
+
+
 def test_semisimple_check_sees_branches_meet():
-    # [[x, x], [0, -x + 160 x^2]]: derivatives 1 and -1 at 0, and the
-    # branches meet in a Jordan block at the ray point x = 0.1 / 8
-    fam = MatrixFamily.make([[(0, 1), (0, 1)], [(0,), (0, -1, 160)]])
-    assert fam(default_ray()[3])[1, 1] == default_ray()[3]
-    with pytest.raises(ClusterAmbiguous):
-        semisimple_convergence_check(fam, 0)
+    # the meet at ray[16] leaves three ray points after it, fewer than
+    # the six of the slope
+    with pytest.raises(ClusterAmbiguous, match="fewer than six"):
+        semisimple_convergence_check(_meeting_branches(16), 0)
+
+
+def test_semisimple_check_trims_an_early_meet():
+    # the meet at ray[3] = 1/80: the tail after it is kept
+    rep = semisimple_convergence_check(_meeting_branches(3), 0)
+    assert rep.ok and rep.ray == default_ray()[4:]
 
 
 def test_complex_constant_term_takes_the_numeric_branches():
@@ -306,6 +321,26 @@ def test_total_projection_reads_no_contour(monkeypatch, fam, lam):
     monkeypatch.setattr(perturbation, "eigenprojection", lambda *a, **k: calls.append(a))
     assert total_projection_limit_check(fam, lam).ok
     assert calls == []
+
+
+def _scaled(fam, s):
+    """The family with A_1 scaled by s: A(s x), the same family on a
+    rescaled ray."""
+    return MatrixFamily.make([[(c[0], c[1] * s) for c in row] for row in fam.entries])
+
+
+def test_continuity_verdicts_are_scale_free():
+    # Kato's theorems hold for A(c x) as for A(x): the verdicts agree,
+    # and the residuals fall like x on every scale
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        for n, m in SIZES:
+            fam = semisimple_family(rng, n, m)[0]
+            for check in (total_projection_limit_check, semisimple_convergence_check):
+                reports = [check(_scaled(fam, s), 0) for s in (1 / 20, 1, 20)]
+                assert all(rep.ok for rep in reports), (seed, n, check)
+                for rep in reports:
+                    assert rep.slope == pytest.approx(1, abs=0.05), (seed, n, check)
 
 
 def _spy_on_the_contour(monkeypatch):
@@ -343,9 +378,12 @@ def test_total_projection_matches_the_contour(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(perturbation, "_total_projection", contour)
                 want = total_projection_limit_check(fam, 0)
-            assert (got.bounded, got.converges) == (want.bounded, want.converges)
-            for a, b in zip(got.norms + got.errors, want.norms + want.errors):
+            assert got.ok and want.ok and got.ray == want.ray
+            for a, b in zip(got.errors, want.errors):
                 assert abs(a - b) <= 1e-9 * max(1.0, b), (seed, n)
+            # the last errors are near 1e-7, where the contour's accuracy
+            # is a relative 1e-6: the slopes agree to about that
+            assert abs(got.slope - want.slope) <= 1e-5, (seed, n)
 
 
 def _closed_form(A, lam, m):
