@@ -79,9 +79,6 @@ def mat_pow(A, k):
             base = mat_mul(base, base)
     return out
 
-def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v)), _ZERO) for row in A]
-
 
 def transpose(A):
     return [list(col) for col in zip(*A)]

@@ -6,8 +6,8 @@ too ill-conditioned; eigenvalue tracking along a ray; first-order
 derivative spectra by Kato's reduction process; continuity checks whose
 verdicts are Kato's theorems, decided exactly on real families, with
 the ray kept as a residual and its log-log slope; the gap
-||V - U (U^H V)||_2 between subspaces; and convergence of
-(generalized) eigenvector spans."""
+||V - U (U^H V)||_2 between subspaces; and the limits of eigenline
+clusters, judged against the invariant subspaces of A(0)."""
 
 import math
 from dataclasses import dataclass, field
@@ -29,9 +29,7 @@ from .exact_algebra import (
     factor_rational_poly,
     inverse,
     mat_mul,
-    mat_vec,
     match_nearest,
-    rref,
     spectral_order,
     to_numpy,
     transpose,
@@ -52,7 +50,6 @@ __all__ = [
     "subspace_distance",
     "semisimple_convergence_check",
     "gevec_convergence",
-    "exact_jordan_blocks",
 ]
 
 CONTOUR_NODES = 256
@@ -149,13 +146,16 @@ class Subspace:
 
 
 def _gap(U, V):
-    """||V - U (U^H V)||_2 for orthonormal bases U and V of equal
-    dimension: the gap ||P_U - P_V||_2 between their spans (Kato, IV
-    §2.1), the sine of the largest principal angle.  A 1-D array is a
-    unit vector, a one-column basis, and its gap is a Euclidean norm."""
+    """||V - U (U^H V)||_2 for an orthonormal basis U: the part of V off
+    span(U).  For an orthonormal basis V of equal dimension it is the
+    gap ||P_U - P_V||_2 between their spans (Kato, IV §2.1), the sine of
+    the largest principal angle.  A 1-D array is a unit vector, a
+    one-column basis, and its gap is a Euclidean norm.  Stacks of bases
+    (3-D arrays, broadcast as by matmul) give an array of gaps."""
     if V.ndim == 1:
         return float(np.linalg.norm(V - U * np.vdot(U, V)))
-    return float(np.linalg.norm(V - U @ (U.conj().T @ V), 2))
+    gap = np.linalg.norm(V - U @ (U.conj().swapaxes(-1, -2) @ V), 2, axis=(-2, -1))
+    return gap if gap.ndim else float(gap)
 
 
 def subspace_distance(U, V):
@@ -248,36 +248,6 @@ def _spectral_basis_exact(N):
     C = transpose(kernels[-1] + R)
     s = len(kernels[-1])
     return [row[:s] for row in C], inverse(C)[:s], len(kernels) - 1
-
-
-def exact_jordan_blocks(A0, lam):
-    """Jordan chains of a rational matrix at a rational eigenvalue:
-    list of (eigenvector, chain vectors bottom-up) per block, chains
-    sorted by descending length."""
-    N = _shift(A0, lam)
-    kernels, _, _ = _kernel_chain(N)
-    p = len(kernels) - 1
-    chains = []
-    carried = []
-    for k in range(p, 0, -1):
-        span = [list(v) for v in kernels[k - 1]] + [list(v) for v in carried]
-        new_tops = _complete_basis(span, kernels[k])
-        for v in new_tops:
-            chain = [v]
-            for _ in range(k - 1):
-                chain.append(mat_vec(N, chain[-1]))
-            chain.reverse()  # eigenvector first
-            chains.append(chain)
-        carried = [mat_vec(N, v) for v in carried + new_tops]
-    chains.sort(key=len, reverse=True)
-    return [(chain[0], chain) for chain in chains]
-
-
-def _complete_basis(span, candidates):
-    """Vectors from candidates extending the span, chosen greedily: the
-    candidates at pivot columns of [span | candidates]."""
-    _, pivots = rref(transpose([list(v) for v in span] + [list(v) for v in candidates]))
-    return [list(candidates[c - len(span)]) for c in pivots if c >= len(span)]
 
 
 def _exact_shift(fam, lam):
@@ -552,13 +522,16 @@ def semisimple_convergence_check(fam, lam, ray=None):
 @dataclass
 class GevecCluster:
     size: int
-    block_size: int
-    span_distances: list  # per ray point, to the exact block span
+    residuals: list  # per ray point, of the span against A(0) (gevec_convergence)
     decreasing: bool
 
     @property
     def final_distance(self):
-        return self.span_distances[-1]
+        return self.residuals[-1]
+
+    @property
+    def block_size(self):  # equals size by construction; `kato` still reports it
+        return self.size
 
 
 @dataclass
@@ -608,14 +581,16 @@ def _canonical_eigenbasis(A, prev_groups):
 
 def gevec_convergence(fam, ray=None):
     """Cluster the eigenvector lines by their projective limits and, per
-    cluster and ray point, measure the gap between the span of its
-    vectors and the matching exact Jordan-block subspace of A(0).
-
-    Known limitation: a cluster is compared with whichever chain
-    exact_jordan_blocks picks, which A(0) determines only when each
-    eigenvalue carries one Jordan block.  x [[0, 1], [1, 0]] has the
-    constant eigenvectors (1, +-1), yet its clusters end 0.7071 from the
-    chains e_1, e_2 of A(0) = 0, and the report is not ok."""
+    cluster and ray point, take the residual of its span against A(0).
+    The span of a Puiseux cycle of k branches at an eigenvalue lam tends
+    to a k-dimensional N-invariant subspace of ker N^p, N = A(0) - lam,
+    which A_1 picks (Lidskii; Moro, Burke and Overton 1997).  So for an
+    orthonormal basis Q of the span the residual is the larger of its
+    gap to ker N^p and ||N Q - Q (Q^H N Q)||_2, with N scaled to norm at
+    most 1 so that it does not magnify the round-off of near-parallel
+    lines; lam is the eigenvalue whose scaled N takes the cluster's final
+    line nearest to 0.  ValueError unless A(0) is real with rational
+    eigenvalues."""
     ray = list(ray) if ray is not None else default_ray()
     # one pass over the ray: match each point's lines to the tracks by
     # nearest gap
@@ -645,52 +620,29 @@ def gevec_convergence(fam, ray=None):
                     f"gap {d:.3e} between two limit lines in the ambiguity band"
                 )
 
-    clusters = {}
-    for i in range(count):
-        clusters.setdefault(label[i], []).append(i)
-
-    # exact Jordan blocks of A(0): (unit eigenvector, block span)
+    # per eigenvalue of A(0): the scaled shift N and an orthonormal
+    # basis of the generalized eigenspace ker N^p
     A0r = fam.rational_coefficient(0)
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
-    blocks = []
+    spaces = []
     for p, _ in factor_rational_poly(charpoly(A0r)):
         if p.degree() > 1:
             raise ValueError("exact block data needs rational eigenvalues at 0")
-        for _, chain in exact_jordan_blocks(A0r, -p.coeff((0,))):
-            # the chain starts with the eigenvector
-            span = to_numpy(chain).T
-            blocks.append((span[:, 0] / np.linalg.norm(span[:, 0]), Subspace.from_vectors(span)))
+        shift = _shift(A0r, -p.coeff((0,)))
+        U = Subspace.from_vectors(to_numpy(_kernel_chain(shift)[0][-1]).T).orthonormal_basis
+        N = to_numpy(shift)
+        spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
 
     out = []
-    used_blocks = set()
-    for members in clusters.values():
-        usable = [
-            b
-            for b in range(len(blocks))
-            if b not in used_blocks and blocks[b][1].dimension == len(members)
-        ]
-        if not usable:
-            raise ClusteringAmbiguous("no Jordan block matches a cluster size")
-        # the block whose eigenvector is nearest the cluster's limit line
-        b = min(usable, key=lambda b: _gap(final[members[0]], blocks[b][0]))
-        used_blocks.add(b)
-        block_span = blocks[b][1]
-
-        span_distances = []
-        for k in range(len(ray)):
-            q, _ = np.linalg.qr(np.column_stack([tracks[i][k] for i in members]))
-            span_distances.append(_gap(q, block_span.orthonormal_basis))
-        decreasing = all(
-            span_distances[k + 1] <= span_distances[k] + 1e-9
-            for k in range(len(ray) - 1)
-        )
-        out.append(
-            GevecCluster(
-                size=len(members),
-                block_size=block_span.dimension,
-                span_distances=span_distances,
-                decreasing=decreasing,
-            )
-        )
+    lines = np.array(tracks)  # (line, ray point, coordinate)
+    for root in sorted(set(label)):
+        members = [i for i in range(count) if label[i] == root]
+        N, U = min(spaces, key=lambda s: np.linalg.norm(s[0] @ final[members[0]]))
+        # one orthonormal basis Q of the cluster's span per ray point
+        Q = np.linalg.qr(lines[members].transpose(1, 2, 0))[0]
+        # Q in ker N^p, and span(Q) invariant: N Q has no part off Q
+        residuals = np.maximum(_gap(U, Q), _gap(Q, N @ Q)).tolist()
+        decreasing = all(b <= a + 1e-9 for a, b in zip(residuals, residuals[1:]))
+        out.append(GevecCluster(size=len(members), residuals=residuals, decreasing=decreasing))
     return GevecReport(out)

@@ -367,8 +367,11 @@ def perturb_and_separate(P, seed, radius=Fraction(1, 100)):
     the separation of the critical values."""
     if radius < 0:
         raise ValidationError(f"perturbation radius {radius} is negative")
+    try:
+        radius = float(radius)
+    except OverflowError:
+        raise ValidationError("perturbation radius is outside the range of a float")
     rng = random.Random(seed)
-    radius = float(radius)
     lam_pert = [float(l) + rng.uniform(-radius, radius) for l in P.lambdas]
     try:  # each e^-lambda' must be a float, nonzero at denominator 10^8
         coeffs = [Fraction(exp(-lp)).limit_denominator(10 ** 8) for lp in lam_pert]

@@ -315,7 +315,7 @@ def test_criterion_11_perturbation():
     rep = gevec_convergence(three, ray)
     ok &= rep.ok and {c.size for c in rep.clusters} == {1, 2}
     for c in rep.clusters:
-        ok &= c.decreasing and c.span_distances[-1] <= 1e-3
+        ok &= c.decreasing and c.residuals[-1] <= 1e-3
     _verdict(11, "spectral projections and eigenvector-span limits", ok)
 
 

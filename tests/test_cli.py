@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import torfan
 from torfan import errors, perturbation
 from torfan.cli import COMMANDS, main, parse_fan_document, parse_matrix_document
+from torfan.superpotential import perturb_and_separate
 
 EXAMPLES = files("torfan") / "examples"
 
@@ -158,6 +160,17 @@ def test_kato_reports_a_cluster_the_contour_cannot_resolve(capsys, tmp_path):
     assert all(b["pole_exponent"] is None for b in branches)
 
 
+def test_kato_on_the_swap_family_converges(capsys, tmp_path):
+    # x [[0, 1], [1, 0]] has the constant eigenvectors (1, +-1), and every
+    # line of C^2 is invariant under A(0) = 0
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"entries": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}))
+    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["gevec_ok"] is True
+    assert [c["final_distance"] for c in results["gevec_clusters"]] == [0.0, 0.0]
+
+
 def test_matrix_document_complex_coefficients():
     fam = parse_matrix_document(
         json.dumps({"entries": [[[[0, 1]], [0]], [[0], [1, 2]]]})
@@ -269,6 +282,13 @@ def test_separate_radius_beyond_the_floats_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "'1e400' is outside the range of a float" in err and "Traceback" not in err
+
+
+def test_perturb_and_separate_beyond_the_floats_is_a_validation_error():
+    _, P, _ = parse_fan_document((EXAMPLES / "p2.json").read_text())
+    with pytest.raises(errors.ValidationError) as exc:
+        perturb_and_separate(P, 0, radius=Fraction(10 ** 400))
+    assert str(exc.value) == "perturbation radius is outside the range of a float"
 
 
 def test_sh_of_affine_space_is_zero(capsys):

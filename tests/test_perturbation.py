@@ -23,7 +23,6 @@ from torfan.perturbation import (
     default_ray,
     derivative_spectrum,
     eigenprojection,
-    exact_jordan_blocks,
     gevec_convergence,
     pole_exponent,
     semisimple_convergence_check,
@@ -458,15 +457,6 @@ def test_subspace_distance_metric():
         subspace_distance(e1, plane)
 
 
-def test_exact_jordan_blocks():
-    A0 = [[F(0), F(0), F(0)], [F(0), F(0), F(1)], [F(0), F(0), F(0)]]
-    blocks = exact_jordan_blocks(A0, F(0))
-    sizes = sorted(len(chain) for _, chain in blocks)
-    assert sizes == [1, 2]
-    big = next(chain for _, chain in blocks if len(chain) == 2)
-    assert big[0] == [F(0), F(1), F(0)]  # eigenvector of the 2-block
-
-
 def test_gevec_convergence_three_by_three():
     rep = gevec_convergence(THREE)
     assert rep.ok
@@ -498,3 +488,42 @@ def test_gevec_convergence_on_a_permuted_sum_of_kato_blocks():
         assert c.size == c.block_size == 2
         assert c.decreasing
         assert c.final_distance <= 1e-3
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gevec_convergence_on_seeded_sums_of_kato_blocks(seed, blocks):
+    """Kato blocks at seeded distinct l with seeded c, conjugated by a
+    seeded permutation.  Residuals of near-parallel lines carry eps / x
+    round-off times ||N||, which must not break `decreasing`."""
+    rng = random.Random(seed)
+    n = 2 * blocks
+    A = [[[0] for _ in range(n)] for _ in range(n)]
+    for b, l in enumerate(rng.sample(range(-6, 7), blocks)):
+        A[2 * b][2 * b] = [l, rng.choice((1, 2, 3))]
+        A[2 * b][2 * b + 1] = [1]
+        A[2 * b + 1][2 * b + 1] = [l]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    fam = MatrixFamily.make([[A[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert sorted(c.size for c in rep.clusters) == [2] * blocks
+    assert all(c.decreasing for c in rep.clusters)
+
+
+def test_gevec_convergence_with_two_jordan_blocks_at_one_eigenvalue():
+    """A(0) = J_2 + J_2 at 0: which 2-dimensional invariant subspace of
+    C^4 the size-2 cluster tends to depends on A_1, so no chain of A(0)
+    alone names it."""
+    A0 = [[0] * 4 for _ in range(4)]
+    A0[0][1] = A0[2][3] = 1
+    A1 = [[1, 1, -1, 2], [0, -1, 0, -1], [1, 2, 0, 2], [-1, 0, -1, 0]]
+    fam = MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(4)] for i in range(4)])
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert sorted(c.size for c in rep.clusters) == [1, 1, 2]
+    # ker N^2 is all of C^4, so the pair's residual is its invariance
+    # defect, which falls like x: halved with x along the ray
+    pair = next(c for c in rep.clusters if c.size == 2)
+    assert all(0.45 < b / a < 0.55 for a, b in zip(pair.residuals[-6:], pair.residuals[-5:]))
