@@ -283,6 +283,18 @@ def _cmd_validate(fan, P, options, args, spec=None):
     return out
 
 
+def _omega_report(A, P):
+    """(charpoly, report) of omega on the algebra A: the report holds its
+    charpoly, minpoly and eigenvalues, as qh and sh print them."""
+    M = omega_operator(A, P)
+    chi, mu = char_min_poly(M)
+    return chi, {
+        "charpoly": chi.pretty(),
+        "minpoly": mu.pretty(),
+        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
+    }
+
+
 def _cmd_qh(fan, P, options, args, spec=None):
     pres, A = qh_presentation(fan, P)
     relations = (
@@ -290,15 +302,12 @@ def _cmd_qh(fan, P, options, args, spec=None):
         if args.t_symbolic
         else [f.pretty() for f in pres.relations_t1()]
     )
-    M = omega_operator(A, P)
-    chi, mu = char_min_poly(M)
+    chi, omega = _omega_report(A, P)
     out = {
         "dimension": A.dimension,
         "fano_index": pres.lam_X,
         "relations": relations,
-        "charpoly": chi.pretty(),
-        "minpoly": mu.pretty(),
-        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
+        **omega,
     }
     if pres.lam_X:
         fam = eigen_family_check(chi, pres.lam_X)
@@ -309,15 +318,11 @@ def _cmd_qh(fan, P, options, args, spec=None):
 def _cmd_sh(fan, P, options, args, spec=None):
     _, A = qh_presentation(fan, P)
     SH = symplectic_cohomology(A)
-    M = omega_operator(SH, P)
-    chi, mu = char_min_poly(M)
     return {
         "qh_dimension": A.dimension,
         "dimension": SH.dimension,
         "kernel_dimension": A.dimension - SH.dimension,
-        "charpoly": chi.pretty(),
-        "minpoly": mu.pretty(),
-        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
+        **_omega_report(SH, P)[1],
     }
 
 

@@ -71,6 +71,11 @@ class SeparationFailed(TorfanError):
     a different seed."""
 
 
+class DegreeCapExceeded(TorfanError):
+    """A generator of a Jacobian ideal has a total degree above the cap
+    beyond which Buchberger's algorithm is not run."""
+
+
 class NewtonDiverged(TorfanError):
     """Newton polishing of a critical point diverged."""
 

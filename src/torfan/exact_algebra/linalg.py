@@ -4,10 +4,12 @@ Rational matrices are row-major lists of lists of Fraction (or int).
 Exact routines never approximate, and all of them eliminate with one
 engine: the fraction-free Bareiss echelon ``_bareiss`` of an integer
 matrix.  rank reads its length, ``_int_det`` its last pivot, and rref
-back-substitutes over it; solve, nullspace, inverse and the basis
-completions of :mod:`torfan.perturbation` read rref and its pivots, and
-localize and the other exact generalized kernels read the chain
-ker N ⊂ ker N^2 ⊂ ... of ``_kernel_chain``, one rref per power.
+back-substitutes over it; solve, nullspace and inverse read rref and
+its pivots, and localize and the other exact generalized kernels read
+the chain ker N ⊂ ker N^2 ⊂ ... of ``_kernel_chain``, one rref per
+power.  The spectral basis of :mod:`torfan.perturbation` reads the
+generalized eigenspace ker N^p off that chain and its dual off the
+left kernel of N^p, a nullspace.
 charpoly, minpoly and jordan_profile clear their input to integers once
 and run on Python ints.  The numeric entry point is
 :func:`complex_eigen`, whose results are residual-checked, and its

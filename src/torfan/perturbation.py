@@ -2,12 +2,12 @@
 total projections of eigenvalue clusters and pole exponents, read as
 V_c (V^-1)_c from the eigen-decomposition A = V diag(w) V^-1, with a
 fixed-node trapezoid contour only where V is numerically singular or
-too ill-conditioned; eigenvalue tracking along a ray; first-order
-derivative spectra by Kato's reduction process; continuity checks whose
-verdicts are Kato's theorems, decided exactly on real families, with
-the ray kept as a residual and its log-log slope; the gap
-||V - U (U^H V)||_2 between subspaces; and the limits of eigenline
-clusters, judged against the invariant subspaces of A(0)."""
+too ill-conditioned; eigenvalue tracking along a ray; the gap
+||V - U (U^H V)||_2 between subspaces; and four continuity checks at an
+eigenvalue of A(0) (total-projection limits, Kato's reduction process,
+semisimple eigenline limits and eigenline-cluster limits), which read
+its generalized eigenspace from one reader: exact at a rational
+eigenvalue of a real A(0), numeric elsewhere."""
 
 import math
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ from .exact_algebra import (
     inverse,
     mat_mul,
     match_nearest,
+    nullspace,
     spectral_order,
     to_numpy,
     transpose,
@@ -136,10 +137,10 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors):
-        """Orthonormalize the columns of an array; a 1-D array is one
-        vector."""
-        M = vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors
-        q, r = np.linalg.qr(M.astype(complex))
+        """Orthonormalize the columns of a matrix, an array or an exact
+        list of rows; a 1-D array is one vector."""
+        M = np.asarray(vectors, dtype=complex)
+        q, r = np.linalg.qr(M.reshape(-1, 1) if M.ndim == 1 else M)
         keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.abs(r).max()))
         q = q[:, : len(keep)][:, keep]
         return Subspace(q, q.shape[1])
@@ -231,39 +232,26 @@ def track_eigenvalues(fam, ray=None):
     return paths
 
 
-# -- exact spectral data of A(0) --------------------------------------
+# -- generalized eigenspaces of A(0) ---------------------------------
 
 
-def _spectral_basis_exact(N):
-    """(K, L, p) from the exact shift N = A0 - lam I: the columns of K
-    span the generalized eigenspace ker N^p (none when lam is not an
-    eigenvalue), and L is the first rows of C^-1 for C = [K | R], with R
-    spanning the invariant complement, so L K = I, L R = 0 and K L is the
-    projection onto the generalized eigenspace along that complement."""
-    n = len(N)
-    kernels, P, pivots = _kernel_chain(N)
-    # the pivot columns of N^p span its column space, the complementary
-    # invariant subspace
-    R = [[P[i][j] for i in range(n)] for j in pivots]
-    C = transpose(kernels[-1] + R)
-    s = len(kernels[-1])
-    return [row[:s] for row in C], inverse(C)[:s], len(kernels) - 1
-
-
-def _exact_shift(fam, lam):
-    """A(0) - lam I as an exact rational matrix, or None when A(0) or
-    lam is not real (the numeric fallbacks handle those)."""
-    A0 = fam.rational_coefficient(0)
-    lam = complex(lam)
-    if A0 is None or lam.imag or not np.isfinite(lam):
+def _exact_shift(A0, lam):
+    """A0 - lam I as an exact rational matrix, subtracting lam on the
+    diagonal only, or None when A0 (an exact A(0), None when complex) or
+    lam is not real.  A Fraction lam is taken as it is."""
+    z = complex(lam)
+    if A0 is None or z.imag or not np.isfinite(z):
         return None
-    return _shift(A0, lam.real)
+    lam = lam if isinstance(lam, Fraction) else Fraction(z.real)
+    return [row[:i] + [row[i] - lam] + row[i + 1:] for i, row in enumerate(A0)]
 
 
-def _shift(A, lam):
-    """A - lam I, subtracting lam on the diagonal only."""
-    lam = Fraction(lam)
-    return [row[:i] + [row[i] - lam] + row[i + 1:] for i, row in enumerate(A)]
+def _roots(p):
+    """The roots of an irreducible rational polynomial: a Fraction when
+    it is linear, else numbers from np.roots."""
+    if p.degree() == 1:
+        return [-p.coeff((0,))]
+    return list(np.roots([float(p.coeff((k,))) for k in range(p.degree(), -1, -1)]))
 
 
 # -- total projections -------------------------------------------------
@@ -368,40 +356,54 @@ class TotalProjectionReport:
     limit: np.ndarray
 
 
-def _spectral_basis(fam, lam):
-    """(K, L, semisimple): the columns of K span the generalized
-    eigenspace of A(0) at lam, L is its dual basis (L K = I, L zero on
-    the other generalized eigenspaces), so K L is the total projection
-    there.  Exact (_spectral_basis_exact) when A(0) and lam are real.
-    Otherwise numeric: K an orthonormal basis of the range of the total
-    projection P of the m eigenvalues within a relative 1e-8 of lam,
-    L = K^H P, and semisimple when A(0) - lam has rank n - m at 1e-8.
-    ValueError when lam is not an eigenvalue."""
-    N = _exact_shift(fam, lam)
+def _generalized_eigenspace(fam, A0r, lam):
+    """(K, semisimple, P): the columns of K span the generalized
+    eigenspace of A(0) at lam, semisimple says whether A(0) is
+    diagonalizable there, and _dual_basis reads the dual of K from P.
+    A0r is fam.rational_coefficient(0).  Exact when the chain of the
+    exact shift N = A0r - lam I (_kernel_chain) finds a kernel: K spans
+    ker N^p, semisimple means p = 1, and P = N^p.  Otherwise numeric, as
+    at an irrational lam: K is an orthonormal basis of the range of the
+    total projection P of the m eigenvalues within a relative 1e-8 of
+    lam, and semisimple means rank(A(0) - lam) = n - m at 1e-8.
+    ValueError when m = 0: lam is not an eigenvalue."""
+    N = _exact_shift(A0r, lam)
     if N is not None:
-        K, L, depth = _spectral_basis_exact(N)
-        semisimple = depth <= 1
-    else:
-        A0 = fam(0.0)
-        eig0 = _eigen_decomposition(A0)
-        w = eig0[0]
-        m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
-        P = _total_projection(A0, eig0, lam, m) if m else np.zeros_like(A0)
-        K = np.linalg.svd(P)[0][:, :m]
-        L = K.conj().T @ P
-        semisimple = np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m
-    if not len(L):
+        kernels, P, _ = _kernel_chain(N)
+        if len(kernels) > 1:
+            return transpose(kernels[-1]), len(kernels) == 2, P
+    A0 = fam(0.0)
+    eig0 = _eigen_decomposition(A0)
+    w = eig0[0]
+    m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
+    if not m:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
-    return K, L, semisimple
+    P = _total_projection(A0, eig0, lam, m)
+    semisimple = np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m
+    return np.linalg.svd(P)[0][:, :m], semisimple, P
+
+
+def _dual_basis(K, P):
+    """The rows L dual to the columns of K (_generalized_eigenspace):
+    L K = I and L is zero on the other generalized eigenspaces, so K L is
+    the total projection.  Exact (K a list): L = (Y K)^-1 Y, the rows of
+    Y spanning the left kernel of P = N^p, which annihilates the range of
+    N^p, the invariant complement; only Y K, s x s, is inverted.
+    Numeric: L = K^H P, P the total projection."""
+    if isinstance(K, np.ndarray):
+        return K.conj().T @ P
+    Y = nullspace(transpose(P))
+    return mat_mul(inverse(mat_mul(Y, K)), Y)
 
 
 def total_projection_limit_check(fam, lam, ray=None):
     """The total projection P(x) of the lam-group is holomorphic while
-    the group stays isolated (Kato, II §1.4): on a real family it tends
-    to the exact K L.  The residual ||P(x) - K L||_2 (_ray_residual)
-    decides only a complex family's verdict.  Each P(x) is read from the
-    eigen-decomposition (_total_projection)."""
-    K, L, _ = _spectral_basis(fam, lam)
+    the group stays isolated (Kato, II §1.4): it tends to K L, exact
+    where _generalized_eigenspace is.  The residual ||P(x) - K L||_2
+    (_ray_residual) decides the verdict only where K L is numeric.  Each
+    P(x) is read from the eigen-decomposition (_total_projection)."""
+    K, _, P = _generalized_eigenspace(fam, fam.rational_coefficient(0), lam)
+    L = _dual_basis(K, P)
     exact, m = isinstance(L, list), len(L)
     limit = to_numpy(mat_mul(K, L)) if exact else K @ L
 
@@ -439,13 +441,13 @@ def pole_exponent(fam, path):
 
 
 def _check_semisimple(fam, lam):
-    """(K, L) of _spectral_basis, whose K then spans the eigenspace of
-    A(0) at lam; NotSemisimple when lam carries a nontrivial Jordan
-    block."""
-    K, L, semisimple = _spectral_basis(fam, lam)
+    """(K, L): K from _generalized_eigenspace, which then spans the
+    eigenspace of A(0) at lam, and its dual L (_dual_basis);
+    NotSemisimple when lam carries a nontrivial Jordan block."""
+    K, semisimple, P = _generalized_eigenspace(fam, fam.rational_coefficient(0), lam)
     if not semisimple:
         raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-    return K, L
+    return K, _dual_basis(K, P)
 
 
 def _reduced_derivatives(fam, K, L):
@@ -456,11 +458,7 @@ def _reduced_derivatives(fam, K, L):
     A1 = fam.rational_coefficient(1)
     if isinstance(L, list) and A1 is not None:
         factors = factor_rational_poly(charpoly(mat_mul(mat_mul(L, A1), K)))
-        values = []
-        for p, mult in factors:
-            coeffs = [float(p.coeff((k,))) for k in range(p.degree(), -1, -1)]
-            # a linear factor's 1 x 1 companion matrix holds its root exactly
-            values += mult * [complex(r) for r in np.roots(coeffs)]
+        values = [complex(r) for p, mult in factors for r in mult * _roots(p)]
         return spectral_order(values), all(mult == 1 for _, mult in factors)
     B = np.asarray(L, dtype=complex) @ fam.coeffs[1] @ np.asarray(K, dtype=complex)
     values = spectral_order(np.linalg.eigvals(B))
@@ -474,8 +472,8 @@ def derivative_spectrum(fam, lam, ray=None):
     eigenvalue lam of A(0) by Kato's reduction process (Perturbation
     Theory for Linear Operators, II 2.3): the eigenvalues of the m x m
     matrix L A_1 K, with K, L from _check_semisimple and A_1 the x^1
-    coefficient.  Exact when A(0), A_1 and lam are real, numeric when one
-    is complex.  `ray` is no longer read."""
+    coefficient.  Exact when K, L and A_1 are: at a rational eigenvalue of
+    a real A(0), with A_1 real.  `ray` is no longer read."""
     return _reduced_derivatives(fam, *_check_semisimple(fam, lam))[0]
 
 
@@ -493,8 +491,8 @@ class SemisimpleReport:
 
 def semisimple_convergence_check(fam, lam, ray=None):
     """Through a semisimple lam whose reduced matrix L A_1 K has distinct
-    eigenvalues the branches are holomorphic (Kato, II §2.3): on a real
-    family the check holds once _reduced_derivatives finds the reduced
+    eigenvalues the branches are holomorphic (Kato, II §2.3): where K and
+    L are exact the check holds once _reduced_derivatives finds the reduced
     charpoly squarefree (else DerivativesCollide).  The residual is the
     largest gap from a branch's eigenline (a unit column of V) to span(K);
     a ray point fails where _cluster_radius raises or V is singular."""
@@ -503,7 +501,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     if not distinct:
         raise DerivativesCollide(f"first-order derivatives {ders} repeat")
     m = len(ders)
-    Q = Subspace.from_vectors(np.asarray(K, dtype=complex)).orthonormal_basis
+    Q = Subspace.from_vectors(K).orthonormal_basis
 
     def error(x):
         w, V, Vinv = _eigen_decomposition(fam(x))
@@ -589,8 +587,10 @@ def gevec_convergence(fam, ray=None):
     gap to ker N^p and ||N Q - Q (Q^H N Q)||_2, with N scaled to norm at
     most 1 so that it does not magnify the round-off of near-parallel
     lines; lam is the eigenvalue whose scaled N takes the cluster's final
-    line nearest to 0.  ValueError unless A(0) is real with rational
-    eigenvalues."""
+    line nearest to 0.  The eigenvalues are the roots of the factors of
+    A(0)'s exact charpoly (_roots), and ker N^p comes from
+    _generalized_eigenspace: exact at a rational lam, numeric at an
+    irrational or complex one.  ValueError unless A(0) is real."""
     ray = list(ray) if ray is not None else default_ray()
     # one pass over the ray: match each point's lines to the tracks by
     # nearest gap
@@ -620,19 +620,18 @@ def gevec_convergence(fam, ray=None):
                     f"gap {d:.3e} between two limit lines in the ambiguity band"
                 )
 
-    # per eigenvalue of A(0): the scaled shift N and an orthonormal
-    # basis of the generalized eigenspace ker N^p
+    # per eigenvalue lam of A(0) (_roots of its charpoly's factors): the
+    # scaled shift N and an orthonormal basis U of its generalized eigenspace
     A0r = fam.rational_coefficient(0)
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
+    A0 = fam(0.0)
     spaces = []
     for p, _ in factor_rational_poly(charpoly(A0r)):
-        if p.degree() > 1:
-            raise ValueError("exact block data needs rational eigenvalues at 0")
-        shift = _shift(A0r, -p.coeff((0,)))
-        U = Subspace.from_vectors(to_numpy(_kernel_chain(shift)[0][-1]).T).orthonormal_basis
-        N = to_numpy(shift)
-        spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
+        for lam in _roots(p):
+            U = Subspace.from_vectors(_generalized_eigenspace(fam, A0r, lam)[0]).orthonormal_basis
+            N = A0 - complex(lam) * np.eye(count)
+            spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
 
     out = []
     lines = np.array(tracks)  # (line, ray point, coordinate)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._feas import recession_ray
 from .errors import (
+    DegreeCapExceeded,
     HalfSpaceFan,
     MirrorMismatch,
     NewtonDiverged,
@@ -46,6 +47,14 @@ __all__ = [
     "galkin_point",
     "perturb_and_separate",
 ]
+
+# Generators of a Jacobian ideal of higher total degree are refused.  In
+# rank 2 the edge (-1, -k), and the shear of P^1 x P^1 by k, give degree
+# 2k - 1.  Measured on a 2-core x86-64 host with Python 3.11: at the cap
+# `critical` and `separate` on (-1, -500) take about 2.5 s; at degree
+# 1599 jacobian_ring alone takes 3 s and `critical` 7 s, and `separate`
+# on the shear by 10^5 did not finish in 100 s.
+JACOBIAN_DEGREE_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,9 @@ def _laurent_polynomial(ring, edges, coeffs):
 def jacobian_ring(W, coefficients=None):
     """Quotient by the logarithmic-derivative ideal z_j dW/dz_j,
     saturated by u with u z_1...z_n = 1.  W's coefficients are 1 (t = 1)
-    unless given; u clears the negative exponents of the generators."""
+    unless given; u clears the negative exponents of the generators.
+    DegreeCapExceeded, before any Buchberger step, when a generator's
+    total degree exceeds JACOBIAN_DEGREE_CAP."""
     edges = W.edges()
     coeffs = _coefficients(W, coefficients)
     ring = _laurent_ring(W.rank)
@@ -125,6 +136,11 @@ def jacobian_ring(W, coefficients=None):
     ]
     gens = [g for g in gens if g]
     gens.append(ring.monomial((1,) * (W.rank + 1)) - 1)
+    degree = max(g.degree() for g in gens)
+    if degree > JACOBIAN_DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"a Jacobian generator has total degree {degree}, above the cap {JACOBIAN_DEGREE_CAP}"
+        )
     return JacAlgebra(quotient_algebra(groebner_basis(gens)))
 
 

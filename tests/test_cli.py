@@ -30,6 +30,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    the CLI in a child process."""
+    env = dict(os.environ)
+    src = str(Path(torfan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_parse_projective_plane_document():
     fan, P, options = parse_fan_document((EXAMPLES / "p2.json").read_text())
     assert len(fan.edges) == 3 and len(fan.max_cones) == 3
@@ -452,12 +461,9 @@ def test_validate_reflexive_p8_reads_reflexivity_off_the_support(tmp_path):
     }
     path = tmp_path / "p8_reflexive.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    src = str(Path(torfan.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
         [sys.executable, "-m", "torfan.cli", "validate", "--input", str(path), "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)["results"]
@@ -506,6 +512,34 @@ def test_critical_is_not_morse_when_points_are_missing(capsys, tmp_path):
     assert code == 0 and results["count"] < 52 and results["morse"] is False
 
 
+HUGE = 10 ** 20
+DEGREE_CAP_DOCUMENTS = {
+    "edge": {"rank": 2, "edges": [[1, 0], [0, 1], [-1, -HUGE]],
+             "max_cones": [[1, 2], [2, 3], [3, 1]], "lambdas": ["0", "0", "-1"]},
+    # P^1 x P^1 sheared by HUGE: smooth, and dim Jac(W) = 4
+    "shear": {"rank": 2, "edges": [[1, 0], [-1, 0], [HUGE, 1], [-HUGE, -1]],
+              "max_cones": [[1, 3], [3, 2], [2, 4], [4, 1]], "lambdas": ["-1"] * 4},
+}
+
+
+@pytest.mark.parametrize("cmd", ["critical", "separate"])
+@pytest.mark.parametrize("name", DEGREE_CAP_DOCUMENTS)
+def test_jacobian_generators_above_the_degree_cap_are_refused(tmp_path, name, cmd):
+    # the edge (-1, -HUGE) or (-HUGE, -1) becomes u^HUGE times a monomial of
+    # degree HUGE - 1; Buchberger's algorithm on it did not finish
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DEGREE_CAP_DOCUMENTS[name]))
+    done = subprocess.run(
+        [sys.executable, "-m", "torfan.cli", cmd, "--input", str(path), "--format", "json"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"DegreeCapExceeded: a Jacobian generator has total degree {2 * HUGE - 1}, "
+        "above the cap 1000\n"
+    )
+
+
 # Runs the CLI with every import of sympy failing: sys.modules["sympy"]
 # = None makes "import sympy" raise ImportError.
 _WITHOUT_SYMPY = (
@@ -527,11 +561,8 @@ _WITHOUT_SYMPY = (
 )
 def test_cli_commands_run_without_sympy(capsys, cmd, doc):
     argv = [cmd, "--input", example(doc), "--format", "json"]
-    env = dict(os.environ)
-    src = str(Path(torfan.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     blocked = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SYMPY, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _WITHOUT_SYMPY, *argv], env=_src_env(), capture_output=True, text=True
     )
     code, out, err = run(capsys, *argv)
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (code, out, err)

@@ -26,7 +26,7 @@ from torfan.exact_algebra import (
     zero_matrix,
 )
 from torfan.exact_algebra.linalg import _kernel, _kernel_chain
-from torfan.perturbation import MatrixFamily, _check_semisimple, _spectral_basis_exact
+from torfan.perturbation import MatrixFamily, _check_semisimple, _dual_basis
 
 F = Fraction
 
@@ -107,8 +107,11 @@ def test_kernel_chain_matches_powers(N):
     R, reference_pivots = rref(mat_pow(N, n))
     assert kernels[-1] == _kernel(R, reference_pivots, n)
     assert pivots == reference_pivots
-    K, L, depth = _spectral_basis_exact(N)
-    assert (mat_mul(K, L), len(L)) == _reference_projection(N) and depth == p
+    # the dual basis from the left kernel of N^p gives the projection along
+    # the invariant complement; an empty kernel gives an n x 0 K
+    K = [[v[i] for v in kernels[-1]] for i in range(n)]
+    L = _dual_basis(K, P)
+    assert (mat_mul(K, L), len(L)) == _reference_projection(N)
 
 
 def test_kernel_chain_inputs_cover_every_depth():
@@ -135,14 +138,27 @@ def test_exact_size_three_block_is_not_semisimple():
 
 
 def test_kato_reports_irrational_eigenvalues_at_zero(capsys, tmp_path):
-    """A(0) = [[0, 1], [2, 0]] has eigenvalues ±√2, so the exact Jordan
-    data of A(0) is out of reach and the report says so."""
+    """A(0) = [[0, 1], [2, 0]] has eigenvalues ±√2: each cluster is
+    judged against the numeric eigenspace there, and both converge."""
     path = tmp_path / "sqrt2.json"
     path.write_text(json.dumps({"entries": [[[0, 1], [1]], [[2], [0]]]}))
     code = main(["kato", "--input", str(path), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     results = json.loads(out)["results"]
+    assert results["gevec_ok"] is True and "gevec_warning" not in results
+    assert [c["size"] for c in results["gevec_clusters"]] == [1, 1]
+
+
+def test_kato_on_a_complex_constant_term_warns(capsys, tmp_path):
+    """A(0) = [[i, 1], [0, 0]] has no exact charpoly to read its
+    eigenvalues from, and the report says so."""
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"entries": [[[[0, 1]], [1]], [[0], [0, 1]]]}))
+    code = main(["kato", "--input", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    results = json.loads(out)["results"]
     assert results["gevec_warning"] == (
-        "ValueError: exact block data needs rational eigenvalues at 0"
+        "ValueError: exact block data needs a real rational constant term"
     )

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import projective_space, reflexive_blowup
 from test_contour_radius import SIZES, semisimple_family
 
 from torfan import perturbation
+from torfan.bundle_blowup import nlb_from_k
 from torfan.errors import (
     ClusterAmbiguous,
     ContourHitsSpectrum,
@@ -16,6 +18,7 @@ from torfan.errors import (
     IdempotencyFailed,
     NotSemisimple,
 )
+from torfan.exact_algebra import charpoly, factor_rational_poly
 from torfan.perturbation import (
     MatrixFamily,
     Subspace,
@@ -30,6 +33,7 @@ from torfan.perturbation import (
     total_projection_limit_check,
     track_eigenvalues,
 )
+from torfan.quantum_algebra import omega_operator, qh_presentation
 
 F = Fraction
 
@@ -527,3 +531,52 @@ def test_gevec_convergence_with_two_jordan_blocks_at_one_eigenvalue():
     # defect, which falls like x: halved with x along the ray
     pair = next(c for c in rep.clusters if c.size == 2)
     assert all(0.45 < b / a < 0.55 for a, b in zip(pair.residuals[-6:], pair.residuals[-5:]))
+
+
+# -- irrational eigenvalues of A(0) ------------------------------------
+
+
+def _plus_seeded_a1(A0):
+    """A(x) = A0 + x A_1, A_1 an integer matrix with entries in -2..2
+    drawn from random.Random(1)."""
+    n = len(A0)
+    rng = random.Random(1)
+    A1 = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(n)] for i in range(n)])
+
+
+def _omega(fan, P):
+    _, A = qh_presentation(fan, P)
+    return omega_operator(A, P)
+
+
+IRRATIONAL_CASES = {
+    "Bl1P2": lambda: _omega(*reflexive_blowup(2, 1)),
+    "Bl2P2": lambda: _omega(*reflexive_blowup(2, 2)),
+    "Bl1P3": lambda: _omega(*reflexive_blowup(3, 1)),
+    "O(-2)->P4": lambda: _omega(*nlb_from_k(*projective_space(4), 2)[:2]),
+    "sqrt2": lambda: [[F(0), F(2)], [F(1), F(0)]],
+}
+
+
+@pytest.mark.parametrize("name", IRRATIONAL_CASES)
+def test_continuity_checks_at_irrational_eigenvalues(name):
+    """At each irrational real eigenvalue of A(0) (a root of a factor of
+    degree > 1 of its charpoly), the ladder's omega or [[0, 2], [1, 0]],
+    the eigenspace is read numerically and both ray checks converge at
+    rate x; the eigenline clusters converge at every eigenvalue."""
+    A0 = IRRATIONAL_CASES[name]()
+    fam = _plus_seeded_a1(A0)
+    eigenvalues = [
+        float(r.real)
+        for p, _ in factor_rational_poly(charpoly(A0))
+        if p.degree() > 1
+        for r in np.roots([float(p.coeff((k,))) for k in range(p.degree(), -1, -1)])
+        if not r.imag
+    ]
+    assert eigenvalues
+    for lam in eigenvalues:
+        for check in (total_projection_limit_check, semisimple_convergence_check):
+            rep = check(fam, lam)
+            assert rep.ok and abs(rep.slope - 1) < 0.05, (lam, check.__name__)
+    assert gevec_convergence(fam).ok
