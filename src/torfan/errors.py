@@ -89,7 +89,7 @@ class IdempotencyFailed(TorfanError):
 
 
 class ClusterAmbiguous(TorfanError):
-    """Eigenvalue cluster membership changes along the sample ray."""
+    """Eigenvalue clusters or eigenlines cannot be resolved along the ray."""
 
 
 class NotSemisimple(TorfanError):
@@ -102,10 +102,6 @@ class DerivativesCollide(TorfanError):
     eigenvalues of Kato's reduced matrix repeat.  Exact on real families
     (its charpoly is not squarefree); at a relative 1e-6 on complex
     ones."""
-
-
-class ClusteringAmbiguous(TorfanError):
-    """Eigenvector lines cannot be unambiguously clustered by limits."""
 
 
 class DimensionMismatch(TorfanError):

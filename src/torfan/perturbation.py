@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ClusterAmbiguous,
-    ClusteringAmbiguous,
     ContourHitsSpectrum,
     DerivativesCollide,
     DimensionMismatch,
@@ -84,6 +83,8 @@ class MatrixFamily:
     @staticmethod
     def make(entries):
         n = len(entries)
+        if not n:
+            raise ValueError("matrix family needs at least one row")
         rows = []
         for row in entries:
             if len(row) != n:
@@ -322,8 +323,8 @@ def _total_projection(A, decomposition, lam, m):
 
 def _loglog_slope(xs, ys):
     """Least-squares slope of log y against log x over the last six
-    points: k for y ~ x^k."""
-    return float(np.polyfit(np.log(xs[-6:]), np.log(ys[-6:]), 1)[0])
+    points: k for y ~ x^k; a 2-D ys gives a list, a slope per row, in one fit."""
+    return np.polyfit(np.log(xs[-6:]), np.log(np.asarray(ys)[..., -6:]).T, 1)[0].tolist()
 
 
 def _ray_residual(ray, error, scale, exact):
@@ -543,16 +544,16 @@ class GevecReport:
 
 def _canonical_eigenbasis(A, prev_groups):
     """Unit eigenvectors of A, each group of eigenvalues equal to a
-    relative 1e-10 replaced by a deterministic orthonormal basis of the
-    kernel: its principal vectors against the nearest group of the same
-    size at the previous ray point.  Returns the n vectors and the
-    (eigenvalue, basis) of every group of size >= 2, for the next point."""
+    relative 1e-10 replaced by the principal vectors of its kernel
+    against the nearest group of the same size at the previous ray point,
+    and the (eigenvalue, basis) of every group of size >= 2, for the next
+    point; ClusterAmbiguous where the unit vectors are dependent to 1e-8."""
     w, v = np.linalg.eig(A)
     n = A.shape[0]
     scale = max(1.0, float(np.abs(w).max()))
     sv = np.linalg.svd(v / np.linalg.norm(v, axis=0), compute_uv=False)
     if sv[-1] < 1e-8:
-        raise ClusteringAmbiguous("family is numerically defective on the ray")
+        raise ClusterAmbiguous("eigenvectors are dependent: two branches met")
     order = sorted(range(n), key=lambda i: (-abs(w[i]), np.angle(w[i])))
     groups = []
     for i in order:
@@ -578,47 +579,50 @@ def _canonical_eigenbasis(A, prev_groups):
 
 
 def gevec_convergence(fam, ray=None):
-    """Cluster the eigenvector lines by their projective limits and, per
-    cluster and ray point, take the residual of its span against A(0).
-    The span of a Puiseux cycle of k branches at an eigenvalue lam tends
-    to a k-dimensional N-invariant subspace of ker N^p, N = A(0) - lam,
-    which A_1 picks (Lidskii; Moro, Burke and Overton 1997).  So for an
-    orthonormal basis Q of the span the residual is the larger of its
-    gap to ker N^p and ||N Q - Q (Q^H N Q)||_2, with N scaled to norm at
-    most 1 so that it does not magnify the round-off of near-parallel
-    lines; lam is the eigenvalue whose scaled N takes the cluster's final
-    line nearest to 0.  The eigenvalues are the roots of the factors of
-    A(0)'s exact charpoly (_roots), and ker N^p comes from
-    _generalized_eigenspace: exact at a rational lam, numeric at an
-    irrational or complex one.  ValueError unless A(0) is real."""
-    ray = list(ray) if ray is not None else default_ray()
-    # one pass over the ray: match each point's lines to the tracks by
-    # nearest gap
-    vecs, groups = _canonical_eigenbasis(fam(ray[0]), None)
-    tracks = [[vec] for vec in vecs]
-    for x in ray[1:]:
-        vecs, groups = _canonical_eigenbasis(fam(x), groups)
-        matches = match_nearest([track[-1] for track in tracks], vecs, dist=_gap)
-        for track, (best, _, _) in zip(tracks, matches):
-            track.append(vecs[best])
-    count = len(tracks)
+    """Cluster the eigenvector lines by their limits and, per cluster and
+    ray point, take the residual of its span against A(0).  The lines are
+    tracked past the ray's last point where two branches meet
+    (_canonical_eigenbasis raises); fewer than six points left raise
+    ClusterAmbiguous.  The lines of a Puiseux cycle of k <= n branches
+    close their gaps like x^(1/k), lines with distinct limits at slope 0:
+    two lines share a limit when the _loglog_slope of their gap exceeds
+    1/(2n), and the clusters are the connected classes.  A cycle's span
+    at an eigenvalue lam tends to a k-dimensional N-invariant subspace of
+    ker N^p, N = A(0) - lam, which A_1 picks (Lidskii; Moro, Burke and
+    Overton 1997): the residual is the larger of the gap from an
+    orthonormal basis Q of the span to ker N^p and ||N Q - Q (Q^H N Q)||_2,
+    N scaled to norm <= 1 so as not to magnify the round-off of
+    near-parallel lines, at the lam whose N takes the final line nearest
+    to 0.  The lam are the roots of the factors of A(0)'s exact charpoly
+    (_roots), and ker N^p is _generalized_eigenspace's: exact at a
+    rational lam, numeric elsewhere.  ValueError unless A(0) is real."""
+    # one pass over the ray: order each point's lines as the previous
+    # point's by nearest gap, starting afresh past a meeting point
+    xs, points, groups, reason = [], [], None, "the ray ends"
+    for x in default_ray() if ray is None else ray:
+        try:
+            vecs, groups = _canonical_eigenbasis(fam(x), groups)
+        except ClusterAmbiguous as exc:
+            xs, points, groups, reason = [], [], None, f"at x = {x}: {exc}"
+            continue
+        if points:
+            vecs = [vecs[best] for best, _, _ in match_nearest(points[-1], vecs, dist=_gap)]
+        xs.append(x)
+        points.append(vecs)
+    if len(xs) < 6:
+        raise ClusterAmbiguous(f"{len(xs)} ray points, fewer than six ({reason})")
+    lines = np.array(points).swapaxes(0, 1)  # (line, ray point, coordinate)
 
-    # cluster by line limits at the smallest ray point.  The gap is a
-    # metric, so two lines within 1e-4 of a third are within 2e-4 of
-    # each other: below 1e-4 or in the band that raises.  Past the
-    # checks every cluster is a clique, and labelling each line with its
-    # last earlier neighbour names the cluster's first member.
-    final = [track[-1] for track in tracks]
-    label = list(range(count))
-    for i in range(count):
-        for j in range(i + 1, count):
-            d = _gap(final[i], final[j])
-            if d < 1e-4:
-                label[j] = label[i]
-            elif d < 1e-3:
-                raise ClusteringAmbiguous(
-                    f"gap {d:.3e} between two limit lines in the ambiguity band"
-                )
+    # every pair's gaps at the slope's six points in one batch, each at
+    # least 1e-8 as a kept point's lines are independent to 1e-8, so its
+    # log is finite; a label names the first line of its class
+    i, j = np.triu_indices(fam.size, 1)
+    gaps = _gap(lines[i, -6:, :, None], lines[j, -6:, :, None])
+    share = np.array(_loglog_slope(xs[-6:], gaps)) > 0.5 / fam.size
+    label = list(range(fam.size))
+    for a, b in zip(i[share], j[share]):
+        lo, hi = sorted((label[a], label[b]))
+        label = [lo if k == hi else k for k in label]
 
     # per eigenvalue lam of A(0) (_roots of its charpoly's factors): the
     # scaled shift N and an orthonormal basis U of its generalized eigenspace
@@ -630,14 +634,13 @@ def gevec_convergence(fam, ray=None):
     for p, _ in factor_rational_poly(charpoly(A0r)):
         for lam in _roots(p):
             U = Subspace.from_vectors(_generalized_eigenspace(fam, A0r, lam)[0]).orthonormal_basis
-            N = A0 - complex(lam) * np.eye(count)
+            N = A0 - complex(lam) * np.eye(fam.size)
             spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
 
     out = []
-    lines = np.array(tracks)  # (line, ray point, coordinate)
     for root in sorted(set(label)):
-        members = [i for i in range(count) if label[i] == root]
-        N, U = min(spaces, key=lambda s: np.linalg.norm(s[0] @ final[members[0]]))
+        members = [i for i in range(fam.size) if label[i] == root]
+        N, U = min(spaces, key=lambda s: np.linalg.norm(s[0] @ lines[members[0], -1]))
         # one orthonormal basis Q of the cluster's span per ray point
         Q = np.linalg.qr(lines[members].transpose(1, 2, 0))[0]
         # Q in ker N^p, and span(Q) invariant: N Q has no part off Q

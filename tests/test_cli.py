@@ -180,6 +180,36 @@ def test_kato_on_the_swap_family_converges(capsys, tmp_path):
     assert [c["final_distance"] for c in results["gevec_clusters"]] == [0.0, 0.0]
 
 
+def test_kato_on_a_puiseux_pair_converges(capsys, tmp_path):
+    # [[0, 1], [x, 0]] has eigenvalues +-sqrt(x) and eigenlines (1, +-sqrt(x)),
+    # whose gap closes like sqrt(x): one cluster of two
+    path = tmp_path / "puiseux.json"
+    path.write_text(json.dumps({"entries": [[[0], [1]], [[0, 1], [0]]]}))
+    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["gevec_ok"] is True
+    assert [c["size"] for c in results["gevec_clusters"]] == [2]
+
+
+def test_kato_warns_when_branches_meet_at_the_ray_end(capsys, tmp_path):
+    # [[x^2, 1], [0, 0]]: the eigenvectors (1, 0) and (1, -x^2) are
+    # dependent to 1e-8 from x = 1e-4 on, the ray's last ten points
+    path = tmp_path / "meet.json"
+    path.write_text(json.dumps({"entries": [[[0, 0, 1], [1]], [[0], [0]]]}))
+    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and "gevec_ok" not in results
+    assert results["gevec_warning"].startswith("ClusterAmbiguous: ")
+    assert "fewer than six" in results["gevec_warning"]
+
+
+def test_kato_on_an_empty_family_is_a_validation_error(capsys):
+    path = Path(__file__).parent / "malformed" / "kato_empty.json"
+    code, out, err = run(capsys, "kato", "--input", str(path))
+    assert code == 2 and not out
+    assert err == "ValidationError: matrix family needs at least one row\n"
+
+
 def test_matrix_document_complex_coefficients():
     fam = parse_matrix_document(
         json.dumps({"entries": [[[[0, 1]], [0]], [[0], [1, 2]]]})

@@ -517,20 +517,46 @@ def test_gevec_convergence_on_seeded_sums_of_kato_blocks(seed, blocks):
 
 
 def test_gevec_convergence_with_two_jordan_blocks_at_one_eigenvalue():
-    """A(0) = J_2 + J_2 at 0: which 2-dimensional invariant subspace of
-    C^4 the size-2 cluster tends to depends on A_1, so no chain of A(0)
-    alone names it."""
+    """A(0) = J_2 + J_2 at 0: which 2-dimensional invariant subspaces of
+    C^4 the two Puiseux pairs tend to depends on A_1, so no chain of A(0)
+    alone names them.  The lines of a pair close their gap like sqrt(x)."""
     A0 = [[0] * 4 for _ in range(4)]
     A0[0][1] = A0[2][3] = 1
     A1 = [[1, 1, -1, 2], [0, -1, 0, -1], [1, 2, 0, 2], [-1, 0, -1, 0]]
     fam = MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(4)] for i in range(4)])
     rep = gevec_convergence(fam)
     assert rep.ok
-    assert sorted(c.size for c in rep.clusters) == [1, 1, 2]
-    # ker N^2 is all of C^4, so the pair's residual is its invariance
+    assert [c.size for c in rep.clusters] == [2, 2]
+    # ker N^2 is all of C^4, so each pair's residual is its invariance
     # defect, which falls like x: halved with x along the ray
-    pair = next(c for c in rep.clusters if c.size == 2)
-    assert all(0.45 < b / a < 0.55 for a, b in zip(pair.residuals[-6:], pair.residuals[-5:]))
+    for pair in rep.clusters:
+        assert all(0.45 < b / a < 0.55 for a, b in zip(pair.residuals[-6:], pair.residuals[-5:]))
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_gevec_convergence_on_puiseux_pairs_at_two_eigenvalues(seed):
+    """J_2(1) + J_2(-1) + x A_1, A_1 an integer matrix with entries in
+    -2..2 drawn from random.Random(seed), splits each block into a
+    Puiseux pair.  The gap of a pair's lines is about 1e-3 at the ray's
+    end, yet it closes like sqrt(x): two clusters of two, each converging."""
+    A0 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
+    rng = random.Random(seed)
+    A1 = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+    fam = MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(4)] for i in range(4)])
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert [c.size for c in rep.clusters] == [2, 2]
+
+
+def test_gevec_convergence_keeps_the_ray_past_a_branch_point():
+    """[[0, 1], [1/10 - x, 0]] is a Jordan block at x = 1/10, the ray's
+    first point, and has eigenvalues +-sqrt(1/10 - x) past it: the tail
+    is read, two lines with distinct limits."""
+    fam = MatrixFamily.make([[(0,), (1,)], [(0.1, -1), (0,)]])
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert [c.size for c in rep.clusters] == [1, 1]
+    assert all(len(c.residuals) == len(default_ray()) - 1 for c in rep.clusters)
 
 
 # -- irrational eigenvalues of A(0) ------------------------------------
