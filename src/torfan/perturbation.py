@@ -618,7 +618,7 @@ def gevec_convergence(fam, ray=None):
     # log is finite; a label names the first line of its class
     i, j = np.triu_indices(fam.size, 1)
     gaps = _gap(lines[i, -6:, :, None], lines[j, -6:, :, None])
-    share = np.array(_loglog_slope(xs[-6:], gaps)) > 0.5 / fam.size
+    share = np.array(_loglog_slope(xs, gaps)) > 0.5 / fam.size
     label = list(range(fam.size))
     for a, b in zip(i[share], j[share]):
         lo, hi = sorted((label[a], label[b]))
