@@ -492,9 +492,9 @@ def spectral_order(items, key=None):
     return [items[i] for i in order]
 
 
-def match_nearest(items, candidates, dist=lambda a, b: abs(a - b)):
-    """Greedy nearest-neighbour matching: each item in turn takes the
-    nearest candidate not yet taken, ties going to the lowest index.
+def match_nearest(items, candidates):
+    """Greedy nearest-neighbour matching of numbers: each item in turn
+    takes the nearest candidate not yet taken, ties going to the lowest index.
 
     Returns one (index, distance, runner_up) per item, where runner_up
     is the distance to the next-nearest free candidate (inf when none is
@@ -503,7 +503,7 @@ def match_nearest(items, candidates, dist=lambda a, b: abs(a - b)):
     free = list(range(len(candidates)))
     out = []
     for item in items:
-        ranked = sorted((dist(item, candidates[i]), i) for i in free)
+        ranked = sorted((abs(item - candidates[i]), i) for i in free)
         d, i = ranked[0]
         free.remove(i)
         out.append((i, d, ranked[1][0] if len(ranked) > 1 else float("inf")))

@@ -151,11 +151,8 @@ def _gap(U, V):
     """||V - U (U^H V)||_2 for an orthonormal basis U: the part of V off
     span(U).  For an orthonormal basis V of equal dimension it is the
     gap ||P_U - P_V||_2 between their spans (Kato, IV §2.1), the sine of
-    the largest principal angle.  A 1-D array is a unit vector, a
-    one-column basis, and its gap is a Euclidean norm.  Stacks of bases
-    (3-D arrays, broadcast as by matmul) give an array of gaps."""
-    if V.ndim == 1:
-        return float(np.linalg.norm(V - U * np.vdot(U, V)))
+    the largest principal angle.  Stacks of bases (3-D arrays, broadcast
+    as by matmul) give an array of gaps."""
     gap = np.linalg.norm(V - U @ (U.conj().swapaxes(-1, -2) @ V), 2, axis=(-2, -1))
     return gap if gap.ndim else float(gap)
 
@@ -327,23 +324,39 @@ def _loglog_slope(xs, ys):
     return np.polyfit(np.log(xs[-6:]), np.log(np.asarray(ys)[..., -6:]).T, 1)[0].tolist()
 
 
-def _ray_residual(ray, error, scale, exact):
-    """(xs, errors, slope, ok) of a continuity check on the ray (default_ray()
-    when None) after its last point where error(x) raises ClusterAmbiguous;
-    fewer than six points left raise.  slope (_loglog_slope) is None once
-    the last error is within 1e-12 * max(1, scale), the closed form's
-    accuracy.  ok is Kato's theorem when its hypothesis was decided
-    exactly, else the slope's: O(x) gives >= 1, no convergence <= 0."""
+def _ray_tail(ray, read):
+    """(xs, values): read(x) at the points of the ray (default_ray() when
+    None) after its last point where read raises ClusterAmbiguous, walked
+    from the end; fewer than six points left raise ClusterAmbiguous."""
     kept, reason = [], "the ray ends"
     for x in reversed(default_ray() if ray is None else list(ray)):
         try:
-            kept.append((x, error(x)))
+            kept.append((x, read(x)))
         except ClusterAmbiguous as exc:
             reason = f"at x = {x}: {exc}"
             break
     if len(kept) < 6:
         raise ClusterAmbiguous(f"{len(kept)} isolated ray points, fewer than six ({reason})")
-    xs, errors = [list(t) for t in zip(*reversed(kept))]
+    return [list(t) for t in zip(*reversed(kept))]
+
+
+def _eigenlines(A):
+    """(w, V) of np.linalg.eig(A), V's columns unit; ClusterAmbiguous where
+    they are dependent to 1e-8 (smallest singular value): branches met."""
+    w, V = np.linalg.eig(A)
+    V = V / np.linalg.norm(V, axis=0)
+    if np.linalg.svd(V, compute_uv=False)[-1] < 1e-8:
+        raise ClusterAmbiguous("eigenvectors are dependent: two branches met")
+    return w, V
+
+
+def _ray_residual(ray, error, scale, exact):
+    """(xs, errors, slope, ok) of a continuity check on _ray_tail(ray,
+    error).  slope (_loglog_slope) is None once the last error is within
+    1e-12 * max(1, scale), the closed form's accuracy.  ok is Kato's
+    theorem when its hypothesis was decided exactly, else the slope's:
+    O(x) gives >= 1, no convergence <= 0."""
+    xs, errors = _ray_tail(ray, error)
     slope = None if errors[-1] <= 1e-12 * max(1.0, scale) else _loglog_slope(xs, errors)
     return xs, errors, slope, exact or slope is None or slope >= 0.5
 
@@ -422,8 +435,8 @@ def pole_exponent(fam, path):
     tracked branch (an EigenPath), P the total projection
     (_total_projection) of the eigenvalues within 1e-12 of it: -k for a
     pole of order k.  None when the cluster cannot be resolved: its gap
-    has closed (ClusterAmbiguous) or the circle about it comes within
-    1e-12 of an eigenvalue (ContourHitsSpectrum)."""
+    has closed (ClusterAmbiguous), or the contour about it meets the
+    spectrum (ContourHitsSpectrum) or is not idempotent (IdempotencyFailed)."""
     xs, norms = [], []
     for x, lam in path.samples[-6:]:
         A = fam(x)
@@ -431,7 +444,7 @@ def pole_exponent(fam, path):
         m = int(np.sum(np.abs(eig[0] - lam) <= 1e-12))
         try:
             P = _total_projection(A, eig, lam, m)
-        except (ClusterAmbiguous, ContourHitsSpectrum):
+        except (ClusterAmbiguous, ContourHitsSpectrum, IdempotencyFailed):
             return None
         xs.append(x)
         norms.append(np.linalg.norm(P, 2))
@@ -495,8 +508,8 @@ def semisimple_convergence_check(fam, lam, ray=None):
     eigenvalues the branches are holomorphic (Kato, II §2.3): where K and
     L are exact the check holds once _reduced_derivatives finds the reduced
     charpoly squarefree (else DerivativesCollide).  The residual is the
-    largest gap from a branch's eigenline (a unit column of V) to span(K);
-    a ray point fails where _cluster_radius raises or V is singular."""
+    largest gap from a branch's eigenline (_eigenlines) to span(K); a ray
+    point fails where _eigenlines or _cluster_radius raises."""
     K, L = _check_semisimple(fam, lam)
     ders, distinct = _reduced_derivatives(fam, K, L)
     if not distinct:
@@ -505,10 +518,8 @@ def semisimple_convergence_check(fam, lam, ray=None):
     Q = Subspace.from_vectors(K).orthonormal_basis
 
     def error(x):
-        w, V, Vinv = _eigen_decomposition(fam(x))
+        w, V = _eigenlines(fam(x))
         _cluster_radius(w, lam, m)
-        if Vinv is None:
-            raise ClusterAmbiguous(f"eigenvectors at x = {x} are dependent: two branches met")
         lines = V[:, np.argsort(np.abs(w - lam))[:m]]
         return float(np.linalg.norm(lines - Q @ (Q.conj().T @ lines), axis=0).max())
 
@@ -542,76 +553,61 @@ class GevecReport:
         return all(c.decreasing and c.final_distance <= 1e-3 for c in self.clusters)
 
 
-def _canonical_eigenbasis(A, prev_groups):
-    """Unit eigenvectors of A, each group of eigenvalues equal to a
-    relative 1e-10 replaced by the principal vectors of its kernel
-    against the nearest group of the same size at the previous ray point,
-    and the (eigenvalue, basis) of every group of size >= 2, for the next
-    point; ClusterAmbiguous where the unit vectors are dependent to 1e-8."""
-    w, v = np.linalg.eig(A)
-    n = A.shape[0]
+def _canonical_eigenbasis(w, v, prev):
+    """The lines of one ray point as columns, from _eigenlines' (w, v): a
+    group of eigenvalues equal to a relative 1e-10 takes an orthonormal
+    basis Q of its eigenspace, in which eig's vectors are arbitrary.
+    Column j continues prev's, the previous point's: each line of prev in
+    turn goes to the nearest group with room (ties to the lowest index),
+    and a group of two or more turns Q onto the lines P it was given by
+    orthogonal Procrustes (Schönemann 1966): Q U V^H, U S V^H = Q^H P."""
     scale = max(1.0, float(np.abs(w).max()))
-    sv = np.linalg.svd(v / np.linalg.norm(v, axis=0), compute_uv=False)
-    if sv[-1] < 1e-8:
-        raise ClusterAmbiguous("eigenvectors are dependent: two branches met")
-    order = sorted(range(n), key=lambda i: (-abs(w[i]), np.angle(w[i])))
     groups = []
-    for i in order:
+    for i in sorted(range(len(w)), key=lambda i: (-abs(w[i]), np.angle(w[i]))):
         if groups and abs(w[i] - w[groups[-1][0]]) <= 1e-10 * scale:
             groups[-1].append(i)
         else:
             groups.append([i])
-    vecs, new_groups = [], []
-    for g in groups:
-        if len(g) == 1:
-            vecs.append(v[:, g[0]] / np.linalg.norm(v[:, g[0]]))
-            continue
-        lam = w[g[0]]
-        # orthonormal kernel basis of A - lam
-        Q = np.linalg.svd(A - lam * np.eye(n))[2].conj().T[:, -len(g):]
-        same = [t for t in prev_groups or () if t[1].shape[1] == len(g)]
-        if same:
-            ref = min(same, key=lambda t: abs(t[0] - lam))[1]
-            Q = Q @ np.linalg.svd(Q.conj().T @ ref)[0]
-        vecs.extend(Q.T)
-        new_groups.append((lam, Q))
-    return vecs, new_groups
+    bases = [v[:, g] if len(g) == 1 else np.linalg.qr(v[:, g])[0] for g in groups]
+    if prev is None:
+        return np.hstack(bases)
+    # gaps[k][j]: the part of previous line j off the span of group k
+    gaps = [np.linalg.norm(prev - Q @ (Q.conj().T @ prev), axis=0) for Q in bases]
+    given = [[] for _ in bases]
+    for j in range(len(w)):
+        k = min((gaps[g][j], g) for g, Q in enumerate(bases) if len(given[g]) < Q.shape[1])[1]
+        given[k].append(j)
+    lines = np.empty_like(v)
+    for Q, js in zip(bases, given):
+        if len(js) > 1:
+            U, _, Vh = np.linalg.svd(Q.conj().T @ prev[:, js])
+            Q = Q @ U @ Vh
+        lines[:, js] = Q
+    return lines
 
 
 def gevec_convergence(fam, ray=None):
     """Cluster the eigenvector lines by their limits and, per cluster and
     ray point, take the residual of its span against A(0).  The lines are
-    tracked past the ray's last point where two branches meet
-    (_canonical_eigenbasis raises); fewer than six points left raise
-    ClusterAmbiguous.  The lines of a Puiseux cycle of k <= n branches
-    close their gaps like x^(1/k), lines with distinct limits at slope 0:
-    two lines share a limit when the _loglog_slope of their gap exceeds
-    1/(2n), and the clusters are the connected classes.  A cycle's span
-    at an eigenvalue lam tends to a k-dimensional N-invariant subspace of
-    ker N^p, N = A(0) - lam, which A_1 picks (Lidskii; Moro, Burke and
-    Overton 1997): the residual is the larger of the gap from an
-    orthonormal basis Q of the span to ker N^p and ||N Q - Q (Q^H N Q)||_2,
-    N scaled to norm <= 1 so as not to magnify the round-off of
-    near-parallel lines, at the lam whose N takes the final line nearest
-    to 0.  The lam are the roots of the factors of A(0)'s exact charpoly
-    (_roots), and ker N^p is _generalized_eigenspace's: exact at a
-    rational lam, numeric elsewhere.  ValueError unless A(0) is real."""
-    # one pass over the ray: order each point's lines as the previous
-    # point's by nearest gap, starting afresh past a meeting point
-    xs, points, groups, reason = [], [], None, "the ray ends"
-    for x in default_ray() if ray is None else ray:
-        try:
-            vecs, groups = _canonical_eigenbasis(fam(x), groups)
-        except ClusterAmbiguous as exc:
-            xs, points, groups, reason = [], [], None, f"at x = {x}: {exc}"
-            continue
-        if points:
-            vecs = [vecs[best] for best, _, _ in match_nearest(points[-1], vecs, dist=_gap)]
-        xs.append(x)
-        points.append(vecs)
-    if len(xs) < 6:
-        raise ClusterAmbiguous(f"{len(xs)} ray points, fewer than six ({reason})")
-    lines = np.array(points).swapaxes(0, 1)  # (line, ray point, coordinate)
+    read on _ray_tail by _eigenlines, aligned by _canonical_eigenbasis.
+    The lines of a Puiseux cycle of k <= n branches close their gaps like
+    x^(1/k), lines with distinct limits at slope 0: two lines share a
+    limit when the _loglog_slope of their gap exceeds 1/(2n), and the
+    clusters are the connected classes.  A cycle's span at an eigenvalue
+    lam tends to a k-dimensional N-invariant subspace of ker N^p,
+    N = A(0) - lam, which A_1 picks (Lidskii; Moro, Burke and Overton
+    1997): the residual is the larger of the gap from an orthonormal
+    basis Q of the span to ker N^p and ||N Q - Q (Q^H N Q)||_2, N scaled
+    to norm <= 1 so as not to magnify the round-off of near-parallel
+    lines, at the lam whose N takes the final line nearest to 0.  The lam
+    are the roots of A(0)'s exact charpoly (_roots), and ker N^p is
+    _generalized_eigenspace's; ClusterAmbiguous unless their dimensions
+    add up to n, ValueError unless A(0) is real."""
+    xs, eigs = _ray_tail(ray, lambda x: _eigenlines(fam(x)))
+    points = []
+    for w, v in eigs:
+        points.append(_canonical_eigenbasis(w, v, points[-1] if points else None))
+    lines = np.array(points).transpose(2, 0, 1)  # (line, ray point, coordinate)
 
     # every pair's gaps at the slope's six points in one batch, each at
     # least 1e-8 as a kept point's lines are independent to 1e-8, so its
@@ -636,6 +632,9 @@ def gevec_convergence(fam, ray=None):
             U = Subspace.from_vectors(_generalized_eigenspace(fam, A0r, lam)[0]).orthonormal_basis
             N = A0 - complex(lam) * np.eye(fam.size)
             spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
+    dims = [U.shape[1] for _, U in spaces]
+    if sum(dims) != fam.size:
+        raise ClusterAmbiguous(f"A(0)'s generalized eigenspaces {dims} add up to {sum(dims)}")
 
     out = []
     for root in sorted(set(label)):

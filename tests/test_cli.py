@@ -15,6 +15,7 @@ import pytest
 import torfan
 from torfan import errors, perturbation
 from torfan.cli import COMMANDS, main, parse_fan_document, parse_matrix_document
+from torfan.exact_algebra import inverse, mat_mul
 from torfan.superpotential import perturb_and_separate
 
 EXAMPLES = files("torfan") / "examples"
@@ -157,25 +158,44 @@ def test_kato_examples_make_no_contour_call(capsys, monkeypatch, name):
     assert calls == []
 
 
+def _kato(capsys, tmp_path, entries):
+    """Write a matrix document with these entries, run `kato --format json`
+    on it, and return the exit code and the results; nothing may reach
+    stderr."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, "kato", "--input", str(path), "--format", "json")
+    assert not err, err
+    return code, json.loads(out)["results"]
+
+
 def test_kato_reports_a_cluster_the_contour_cannot_resolve(capsys, tmp_path):
     # [[x^2, 1], [0, 0]]: near x = 3e-6 the gap x^2 is ~1e-11, so every
     # node of the cluster circle lies within 1e-12 of the spectrum
-    path = tmp_path / "gap_x2.json"
-    path.write_text(json.dumps({"entries": [[[0, 0, 1], [1]], [[0], [0]]]}))
-    code, out, err = run(capsys, "kato", "--input", str(path), "--format", "json")
-    assert code == 0 and not err
-    branches = json.loads(out)["results"]["branches"]
+    code, results = _kato(capsys, tmp_path, [[[0, 0, 1], [1]], [[0], [0]]])
+    assert code == 0
+    branches = results["branches"]
     assert len(branches) == 2
     assert all(b["pole_exponent"] is None for b in branches)
+
+
+def test_kato_reports_a_cluster_the_contour_leaves_unprojected(capsys, tmp_path):
+    # kato_3x3.json's family beside a 1 x 1 block (3), conjugated by a
+    # unimodular S: at some branch the contour's projection is not
+    # idempotent: that branch has no pole exponent, and the report goes on
+    A0 = [[14, 12, 36, -20], [5, 3, 12, -8], [4, 6, 12, -4], [20, 21, 54, -26]]
+    A1 = [[16, 14, 40, -22], [16, 14, 40, -22], [-16, -14, -40, 22], [-8, -7, -20, 11]]
+    entries = [[[A0[i][j], A1[i][j]] for j in range(4)] for i in range(4)]
+    code, results = _kato(capsys, tmp_path, entries)
+    assert code == 0
+    assert len(results["branches"]) == 4
+    assert any(b["pole_exponent"] is None for b in results["branches"])
 
 
 def test_kato_on_the_swap_family_converges(capsys, tmp_path):
     # x [[0, 1], [1, 0]] has the constant eigenvectors (1, +-1), and every
     # line of C^2 is invariant under A(0) = 0
-    path = tmp_path / "swap.json"
-    path.write_text(json.dumps({"entries": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}))
-    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
-    results = json.loads(out)["results"]
+    code, results = _kato(capsys, tmp_path, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]])
     assert code == 0 and results["gevec_ok"] is True
     assert [c["final_distance"] for c in results["gevec_clusters"]] == [0.0, 0.0]
 
@@ -183,24 +203,53 @@ def test_kato_on_the_swap_family_converges(capsys, tmp_path):
 def test_kato_on_a_puiseux_pair_converges(capsys, tmp_path):
     # [[0, 1], [x, 0]] has eigenvalues +-sqrt(x) and eigenlines (1, +-sqrt(x)),
     # whose gap closes like sqrt(x): one cluster of two
-    path = tmp_path / "puiseux.json"
-    path.write_text(json.dumps({"entries": [[[0], [1]], [[0, 1], [0]]]}))
-    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
-    results = json.loads(out)["results"]
+    code, results = _kato(capsys, tmp_path, [[[0], [1]], [[0, 1], [0]]])
     assert code == 0 and results["gevec_ok"] is True
     assert [c["size"] for c in results["gevec_clusters"]] == [2]
+
+
+def test_kato_on_a_constant_triple_eigenspace_converges(capsys, tmp_path):
+    # the eigenvalue x is triple, its eigenspace (2 - x)(v0 + 12 v1 + 25 v2
+    # - 9 v3) = 0 is the same at every x, and eig's basis of it is not:
+    # aligned onto the previous point's lines, the four lines are constant
+    entries = [
+        [[2], [24, -12], [50, -25], [-18, 9]],
+        [[0], [0, 1], [0], [0]],
+        [[0], [0], [0, 1], [0]],
+        [[0], [0], [0], [0, 1]],
+    ]
+    code, results = _kato(capsys, tmp_path, entries)
+    assert code == 0 and results["gevec_ok"] is True
+    assert [c["size"] for c in results["gevec_clusters"]] == [1, 1, 1, 1]
 
 
 def test_kato_warns_when_branches_meet_at_the_ray_end(capsys, tmp_path):
     # [[x^2, 1], [0, 0]]: the eigenvectors (1, 0) and (1, -x^2) are
     # dependent to 1e-8 from x = 1e-4 on, the ray's last ten points
-    path = tmp_path / "meet.json"
-    path.write_text(json.dumps({"entries": [[[0, 0, 1], [1]], [[0], [0]]]}))
-    code, out, _ = run(capsys, "kato", "--input", str(path), "--format", "json")
-    results = json.loads(out)["results"]
+    code, results = _kato(capsys, tmp_path, [[[0, 0, 1], [1]], [[0], [0]]])
     assert code == 0 and "gevec_ok" not in results
     assert results["gevec_warning"].startswith("ClusterAmbiguous: ")
     assert "fewer than six" in results["gevec_warning"]
+
+
+def test_kato_warns_when_the_eigenspaces_of_a0_miss_its_size(capsys, tmp_path):
+    # S diag(x, x, 1, 2) S^-1 in floats: A(0)'s entries such as 1/11 are
+    # rounded, and read as exact they split the double eigenvalue 0 into
+    # an exact 0 with a 1-dimensional kernel and a root near 1e-15 whose
+    # numeric eigenspace has dimension 2, five dimensions for n = 4
+    S = [[-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2]]
+    S = [[Fraction(v) for v in row] for row in S]
+
+    def conjugate(values):
+        D = [[Fraction(v * (i == j)) for j in range(4)] for i, v in enumerate(values)]
+        return mat_mul(mat_mul(S, D), inverse(S))
+
+    A0, A1 = conjugate([0, 0, 1, 2]), conjugate([1, 1, 0, 0])
+    entries = [[[float(A0[i][j]), float(A1[i][j])] for j in range(4)] for i in range(4)]
+    code, results = _kato(capsys, tmp_path, entries)
+    assert code == 0 and "gevec_ok" not in results
+    assert results["gevec_warning"].startswith("ClusterAmbiguous: ")
+    assert "add up to 5" in results["gevec_warning"]
 
 
 def test_kato_on_an_empty_family_is_a_validation_error(capsys):

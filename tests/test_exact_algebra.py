@@ -331,12 +331,6 @@ def test_match_nearest_ties_runner_up_and_last_item():
     assert match_nearest([0, 10], [9, 1]) == [(1, 1, 9), (0, 1, float("inf"))]
 
 
-def test_match_nearest_custom_distance():
-    by_modulus = lambda a, b: abs(abs(a) - abs(b))
-    assert match_nearest([-2j], [1, 2], dist=by_modulus) == [(1, 0, 1)]
-    assert match_nearest([-2j], [1, 2]) == [(0, abs(-2j - 1), abs(-2j - 2))]
-
-
 def _ulp_neighbours(z):
     """The values one ulp away from z in its real or imaginary part."""
     out = []

@@ -16,9 +16,10 @@ from torfan.errors import (
     DerivativesCollide,
     DimensionMismatch,
     IdempotencyFailed,
+    Inconsistent,
     NotSemisimple,
 )
-from torfan.exact_algebra import charpoly, factor_rational_poly
+from torfan.exact_algebra import charpoly, factor_rational_poly, inverse, mat_mul
 from torfan.perturbation import (
     MatrixFamily,
     Subspace,
@@ -557,6 +558,52 @@ def test_gevec_convergence_keeps_the_ray_past_a_branch_point():
     assert rep.ok
     assert [c.size for c in rep.clusters] == [1, 1]
     assert all(len(c.residuals) == len(default_ray()) - 1 for c in rep.clusters)
+
+
+
+def _conjugated_diagonal(seed, diagonal):
+    """S diag(diagonal) S^-1, each entry of diagonal a pair (c0, c1) for
+    c0 + c1 x, for a 4 x 4 integer S with entries in -3..3 drawn from
+    random.Random(seed) and redrawn until S^-1 is integral."""
+    rng = random.Random(seed)
+    while True:
+        S = [[F(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
+        try:
+            Si = inverse(S)
+        except Inconsistent:
+            continue
+        if all(v.denominator == 1 for row in Si for v in row):
+            break
+
+    def conjugate(values):
+        D = [[F(v) if i == j else F(0) for j in range(4)] for i, v in enumerate(values)]
+        return mat_mul(mat_mul(S, D), Si)
+
+    A0, A1 = (conjugate([d[k] for d in diagonal]) for k in (0, 1))
+    return MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(4)] for i in range(4)])
+
+
+DOUBLE = [(0, 1), (0, 1), (1, 0), (2, 0)]  # diag(x, x, 1, 2)
+TRIPLE = [(0, 1), (0, 1), (0, 1), (2, 0)]  # diag(x, x, x, 2)
+
+
+@pytest.mark.parametrize("diagonal", [DOUBLE, TRIPLE], ids=["double", "triple"])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gevec_convergence_at_an_eigenvalue_repeated_along_the_ray(request, seed, diagonal):
+    """S diag(x, x, 1, 2) S^-1 and S diag(x, x, x, 2) S^-1: the eigenvalue
+    x is repeated at every x != 0, where eig's basis of its constant
+    eigenspace is arbitrary.  Aligned onto the previous point's lines, the
+    lines are constant: four clusters of one, each converging."""
+    if (seed, diagonal) == (8, TRIPLE):
+        request.applymarker(pytest.mark.xfail(
+            raises=ClusterAmbiguous,
+            strict=True,
+            reason="the 1e-8 independence test reads eig's raw, near-dependent "
+            "vectors of the triple eigenvalue x and rejects every ray point",
+        ))
+    rep = gevec_convergence(_conjugated_diagonal(seed, diagonal))
+    assert rep.ok
+    assert [c.size for c in rep.clusters] == [1, 1, 1, 1]
 
 
 # -- irrational eigenvalues of A(0) ------------------------------------
