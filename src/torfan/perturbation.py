@@ -283,9 +283,7 @@ def _eigen_decomposition(A):
     V^-1 is None when V is numerically singular (matrix_rank < n), where
     the eigenvectors do not span."""
     w, V = np.linalg.eig(A)
-    if np.linalg.matrix_rank(V) < len(w):
-        return w, V, None
-    return w, V, np.linalg.inv(V)
+    return w, V, None if np.linalg.matrix_rank(V) < len(w) else np.linalg.inv(V)
 
 
 def _total_projection(A, decomposition, lam, m):
@@ -340,10 +338,14 @@ def _ray_tail(ray, read):
     return [list(t) for t in zip(*reversed(kept))]
 
 
-def _eigenlines(A):
-    """(w, V) of np.linalg.eig(A), V's columns unit; ClusterAmbiguous where
-    they are dependent to 1e-8 (smallest singular value): branches met."""
+def _eigenlines(A, lam=None, m=None):
+    """(w, V) of np.linalg.eig(A), unit columns, given lam only the m nearest
+    (_cluster_radius); ClusterAmbiguous where V's smallest singular value < 1e-8."""
     w, V = np.linalg.eig(A)
+    if lam is not None:
+        _cluster_radius(w, lam, m)
+        c = np.argsort(np.abs(w - lam))[:m]
+        w, V = w[c], V[:, c]
     V = V / np.linalg.norm(V, axis=0)
     if np.linalg.svd(V, compute_uv=False)[-1] < 1e-8:
         raise ClusterAmbiguous("eigenvectors are dependent: two branches met")
@@ -508,8 +510,8 @@ def semisimple_convergence_check(fam, lam, ray=None):
     eigenvalues the branches are holomorphic (Kato, II §2.3): where K and
     L are exact the check holds once _reduced_derivatives finds the reduced
     charpoly squarefree (else DerivativesCollide).  The residual is the
-    largest gap from a branch's eigenline (_eigenlines) to span(K); a ray
-    point fails where _eigenlines or _cluster_radius raises."""
+    largest gap from an eigenline of lam's cluster to span(K); a ray point
+    fails where _eigenlines(A(x), lam, m) raises, the other lines unread."""
     K, L = _check_semisimple(fam, lam)
     ders, distinct = _reduced_derivatives(fam, K, L)
     if not distinct:
@@ -518,9 +520,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     Q = Subspace.from_vectors(K).orthonormal_basis
 
     def error(x):
-        w, V = _eigenlines(fam(x))
-        _cluster_radius(w, lam, m)
-        lines = V[:, np.argsort(np.abs(w - lam))[:m]]
+        lines = _eigenlines(fam(x), lam, m)[1]
         return float(np.linalg.norm(lines - Q @ (Q.conj().T @ lines), axis=0).max())
 
     return SemisimpleReport(ders, *_ray_residual(ray, error, 1.0, isinstance(L, list)))
@@ -577,7 +577,7 @@ def _canonical_eigenbasis(w, v, prev):
     for j in range(len(w)):
         k = min((gaps[g][j], g) for g, Q in enumerate(bases) if len(given[g]) < Q.shape[1])[1]
         given[k].append(j)
-    lines = np.empty_like(v)
+    lines = np.empty(v.shape, np.result_type(v, prev))
     for Q, js in zip(bases, given):
         if len(js) > 1:
             U, _, Vh = np.linalg.svd(Q.conj().T @ prev[:, js])

@@ -329,6 +329,8 @@ def test_match_nearest_ties_runner_up_and_last_item():
     assert match_nearest([0, 10], [1, -1, 9]) == [(0, 1, 1), (2, 1, 11)]
     # the last item has no candidate left beside its own
     assert match_nearest([0, 10], [9, 1]) == [(1, 1, 9), (0, 1, float("inf"))]
+    # complex items, at the default distance
+    assert match_nearest([-2j], [1, 2]) == [(0, abs(-2j - 1), abs(-2j - 2))]
 
 
 def _ulp_neighbours(z):

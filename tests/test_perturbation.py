@@ -23,6 +23,7 @@ from torfan.exact_algebra import charpoly, factor_rational_poly, inverse, mat_mu
 from torfan.perturbation import (
     MatrixFamily,
     Subspace,
+    _canonical_eigenbasis,
     _cluster_radius,
     default_ray,
     derivative_spectrum,
@@ -296,6 +297,21 @@ def test_semisimple_check_trims_an_early_meet():
     # the meet at ray[3] = 1/80: the tail after it is kept
     rep = semisimple_convergence_check(_meeting_branches(3), 0)
     assert rep.ok and rep.ray == default_ray()[4:]
+
+
+@pytest.mark.parametrize(
+    "c2",
+    [1, 0],
+    ids=["tangent", "jordan"],
+)
+def test_semisimple_check_reads_only_the_lines_at_lam(c2):
+    """[[5 + c2 x^2, 1, 0], [0, 5, 0], [0, 0, x]] at lam = 0: lam is simple
+    and its K exact.  The two lines at 5 are dependent to 1e-8 from
+    x ~ 1e-4 on (tangent branches) or at every x (a Jordan block); the
+    check reads only lam's line, so every ray point is kept."""
+    fam = MatrixFamily.make([[(5, 0, c2), (1,), (0,)], [(0,), (5,), (0,)], [(0,), (0,), (0, 1)]])
+    rep = semisimple_convergence_check(fam, 0)
+    assert rep.ok and rep.ray == default_ray()
 
 
 def test_complex_constant_term_takes_the_numeric_branches():
@@ -604,6 +620,31 @@ def test_gevec_convergence_at_an_eigenvalue_repeated_along_the_ray(request, seed
     rep = gevec_convergence(_conjugated_diagonal(seed, diagonal))
     assert rep.ok
     assert [c.size for c in rep.clusters] == [1, 1, 1, 1]
+
+
+def test_gevec_convergence_where_a_complex_pair_turns_real():
+    """[[0, 1], [7/100 - x, 0]] + x I_2: the pair is complex at x = 1/10
+    and real from x = 1/20 on, beside the double eigenvalue x."""
+    fam = MatrixFamily.make(
+        [
+            [(0,), (1,), (0,), (0,)],
+            [(F(7, 100), -1), (0,), (0,), (0,)],
+            [(0,), (0,), (0, 1), (0,)],
+            [(0,), (0,), (0,), (0, 1)],
+        ]
+    )
+    rep = gevec_convergence(fam)
+    assert rep.ok
+    assert [c.size for c in rep.clusters] == [1, 1, 1, 1]
+
+
+def test_canonical_eigenbasis_keeps_a_complex_previous_point():
+    # real lines of a double eigenvalue turned onto complex previous lines
+    # come out complex, with no part dropped
+    prev = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    lines = _canonical_eigenbasis(np.array([1.0, 1.0]), np.eye(2), prev)
+    assert lines.dtype == complex
+    assert np.allclose(lines, prev)
 
 
 # -- irrational eigenvalues of A(0) ------------------------------------
