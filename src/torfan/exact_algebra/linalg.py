@@ -11,7 +11,9 @@ power.  The spectral basis of :mod:`torfan.perturbation` reads the
 generalized eigenspace ker N^p off that chain and its dual off the
 left kernel of N^p, a nullspace.
 charpoly, minpoly and jordan_profile clear their input to integers once
-and run on Python ints.  The numeric entry point is
+and run on Python ints; jordan_profile reads its factors off minpoly,
+their multiplicities off traces by Newton's identities, and ranks p(M)^j
+only below p's exponent in minpoly.  The numeric entry point is
 :func:`complex_eigen`, whose results are residual-checked, and its
 spectra are ordered by :func:`spectral_order` and paired across samples
 by :func:`match_nearest`.
@@ -98,11 +100,14 @@ def to_numpy(A, dtype=complex):
 # rank and rref clear each row to integers by the lcm of its own
 # denominators; charpoly, minpoly and jordan_profile clear the whole
 # matrix once by _clear, giving an integer B and a common denominator d
-# with M = B / d.
+# with M = B / d, and _clear rejects a matrix that is not square.
 
 
 def _clear(M):
-    """(B, d): an integer matrix B and a positive integer d with M = B / d."""
+    """(B, d): an integer matrix B and a positive integer d with M = B / d;
+    raises ValueError unless M is square."""
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("matrix is not square")
     d = lcm(*{x.denominator for row in M for x in row})
     return [[x.numerator * (d // x.denominator) for x in row] for row in M], d
 
@@ -323,8 +328,6 @@ def minpoly(M):
 
 def char_min_poly(M):
     """(characteristic, minimal) polynomials of a square matrix."""
-    if any(len(row) != len(M) for row in M):
-        raise ValueError("matrix is not square")
     return charpoly(M), minpoly(M)
 
 
@@ -370,45 +373,67 @@ def factor_rational_poly(p):
     return out
 
 
+def _power_sums(p, count):
+    """Power sums s_0, ..., s_(count-1) of the roots of a monic p by Newton's
+    identities, s_j = -sum_i c_i·s_(j-i) with c_i the coefficient of X^(e-i)
+    and j·c_j for the term i = j."""
+    e = p.degree()
+    c = [p.coeff((e - i,)) for i in range(e + 1)]
+    s = [Fraction(e)]
+    for j in range(1, count):
+        s.append(-sum(c[i] * (s[j - i] if i < j else j) for i in range(1, min(j, e) + 1)))
+    return s
+
+
 def jordan_profile(M):
-    """Exact Jordan block sizes per irreducible factor, recovered from
-    the rank sequence of powers of each factor evaluated at M."""
-    if any(len(row) != len(M) for row in M):
-        raise ValueError("matrix is not square")
-    n = len(M)
+    """Exact Jordan block sizes per irreducible factor p of minpoly(M).
+
+    p's exponent k in minpoly is its largest block.  Its multiplicity m in
+    the charpoly solves sum_p m·s_(p,j) = tr(M^j), j < R = sum deg p, with
+    s_(p,j) the power sums of p's roots (Newton's identities): a Vandermonde
+    system summed over disjoint root sets, with one solution.  The sizes
+    follow from the ranks of p(M)^j, computed for j < k only, since
+    rank p(M)^k = n - deg p·m."""
     B, d = _clear(M)
+    n = len(B)
+    factors = factor_rational_poly(minpoly(M))
+    R = sum(p.degree() for p, _ in factors)
+    traces, P = [], [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(R):
+        traces.append(Fraction(sum(P[i][i] for i in range(n)), d ** j))
+        P = _int_mul(P, B) if j < R - 1 else None
+    sums = [_power_sums(p, R) for p, _ in factors]
+    mults = solve([list(row) for row in zip(*sums)], traces)
+    if any(m.denominator != 1 or m < 1 for m in mults):
+        raise AssertionError(f"charpoly multiplicities {mults} are not positive integers")
     entries = []
-    for p, mult in factor_rational_poly(charpoly(M)):
+    for (p, k), m in zip(factors, mults):
         e = p.degree()
-        # Horner's rule for the integer matrix L·d^e·p(M) = q(B), with
-        # q_j = L·d^(e-j)·p_j and L clearing the coefficients of p
-        L = lcm(*(c.denominator for c in p.terms.values()))
-        P = [[0] * n for _ in range(n)]
-        for j in range(e, -1, -1):
-            P = _int_mul(P, B)
-            q = int(L * p.coeff((j,))) * d ** (e - j)
-            for i in range(n):
-                P[i][i] += q
         ranks = [n]
-        Pk = P
-        for k in range(mult):
-            if k:
-                Pk = _int_mul(Pk, P)
-            ranks.append(_int_rank(Pk))
-            if ranks[-1] == ranks[-2]:
-                break
-        # number of blocks of size >= k is (ranks[k-1] - ranks[k]) / e
-        atleast = []
-        for k in range(1, len(ranks)):
-            diff = ranks[k - 1] - ranks[k]
-            assert diff % e == 0
-            atleast.append(diff // e)
-        sizes = []
-        for k, cnt in enumerate(atleast, start=1):
-            nxt = atleast[k] if k < len(atleast) else 0
-            sizes.extend([k] * (cnt - nxt))
-        sizes.sort(reverse=True)
-        entries.append((p, tuple(sizes)))
+        if k > 1:
+            # Horner's rule from L·B for L·d^e·p(M) = q(B), with
+            # q_j = L·d^(e-j)·p_j and L clearing the coefficients of p
+            L = lcm(*(c.denominator for c in p.terms.values()))
+            P = [[L * x for x in row] for row in B]
+            for j in range(e - 1, -1, -1):
+                if j < e - 1:
+                    P = _int_mul(P, B)
+                q = int(L * p.coeff((j,))) * d ** (e - j)
+                for i in range(n):
+                    P[i][i] += q
+            Pj = P
+            for j in range(1, k):
+                if j > 1:
+                    Pj = _int_mul(Pj, P)
+                ranks.append(_int_rank(Pj))
+        ranks.append(n - e * int(m))
+        # the number of blocks of size >= j is (ranks[j-1] - ranks[j]) / e
+        drops = [a - b for a, b in zip(ranks, ranks[1:])]
+        if any(x % e for x in drops):
+            raise AssertionError(f"rank drops {drops} of {p.pretty()} are not multiples of {e}")
+        atleast = [x // e for x in drops] + [0]
+        sizes = tuple(j for j in range(k, 0, -1) for _ in range(atleast[j - 1] - atleast[j]))
+        entries.append((p, sizes))
     return JordanProfile(entries, n)
 
 

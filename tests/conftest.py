@@ -93,11 +93,10 @@ def random_ideal_generators(rng, ring, extra):
     return gens
 
 
-def ladder_omega_charpolys():
-    """(name, characteristic polynomial of omega on QH) over the
-    benchmark's toric ladder: P^2..P^8, (P^1)^2..(P^1)^5, O(-k) -> P^m for
-    1 <= k <= m <= 4, and reflexive P^2 blown up at 1-3 points and P^3 at
-    one."""
+def ladder_omega_operators():
+    """(name, matrix of omega on QH) over the benchmark's toric ladder:
+    P^2..P^8, (P^1)^2..(P^1)^5, O(-k) -> P^m for 1 <= k <= m <= 4, and
+    reflexive P^2 blown up at 1-3 points and P^3 at one."""
     cases = [(f"P{m}", projective_space(m)) for m in range(2, 9)]
     cases += [(f"P1^{k}", product_of_lines(k)) for k in range(2, 6)]
     for m in range(1, 5):
@@ -109,11 +108,13 @@ def ladder_omega_charpolys():
         for _ in range(points):
             fan, P = blowup_point(fan, P, next(i for i, c in enumerate(fan.max_cones) if max(c) <= m))
         cases.append((f"Bl{points}P{m}", (fan, P)))
-    out = []
-    for name, (fan, P) in cases:
-        _, A = qh_presentation(fan, P)
-        out.append((name, charpoly(omega_operator(A, P))))
-    return out
+    return [(name, omega_operator(qh_presentation(fan, P)[1], P)) for name, (fan, P) in cases]
+
+
+def ladder_omega_charpolys():
+    """(name, characteristic polynomial of omega on QH) over the ladder
+    of ladder_omega_operators."""
+    return [(name, charpoly(M)) for name, M in ladder_omega_operators()]
 
 
 def ideal_equal(gens_a, gens_b):

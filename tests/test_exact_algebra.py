@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ladder_omega_charpolys, projective_space
+from conftest import ladder_omega_charpolys, ladder_omega_operators, projective_space
 from torfan.cli import main
 from torfan.errors import Inconsistent, InfiniteDimensional
 from torfan.exact_algebra import (
@@ -266,6 +266,23 @@ def test_kato_on_a_float_document(capsys, tmp_path):
     assert _approx(expected) == json.loads(capsys.readouterr().out)
 
 
+def _conjugate(J, seed):
+    """S·J·S^-1 for an invertible S = L·U with seeded unit triangular
+    factors whose entries off the diagonal are p/q, |p| <= 4, q <= 5."""
+    n = len(J)
+    rng = random.Random(seed)
+
+    def unit_triangular(below):
+        return [
+            [F(1) if i == j else F(rng.randint(-4, 4), rng.randint(1, 5)) if (j < i) == below else F(0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    S = mat_mul(unit_triangular(True), unit_triangular(False))
+    return mat_mul(S, mat_mul(J, inverse(S)))
+
+
 def test_jordan_profile_of_conjugated_blocks():
     # blocks (3, 1) at 1/2, a size-2 block for X^2 + 1 (companion C with
     # I above the diagonal), and a single block at -3, conjugated by an
@@ -280,22 +297,69 @@ def test_jordan_profile_of_conjugated_blocks():
             J[4 + i][4 + j] = J[6 + i][6 + j] = F(C[i][j])
         J[4 + i][6 + i] = F(1)
     J[8][8] = F(-3)
-    rng = random.Random(3)
-
-    def unit_triangular(below):
-        return [
-            [F(1) if i == j else F(rng.randint(-4, 4), rng.randint(1, 5)) if (j < i) == below else F(0)
-             for j in range(9)]
-            for i in range(9)
-        ]
-
-    S = mat_mul(unit_triangular(True), unit_triangular(False))
-    M = mat_mul(S, mat_mul(J, inverse(S)))
+    M = _conjugate(J, 3)
     profile = jordan_profile(M)
     got = {p.pretty(): sizes for p, sizes in profile.entries}
     assert got == {"X - 1/2": (3, 1), "X + 3": (1,), "X^2 + 1": (2,)}
     x = UNIVARIATE.var(0)
     assert minpoly(M) == (x - F(1, 2)) ** 3 * (x + 3) * (x * x + 1) ** 2
+
+
+def test_jordan_profile_of_a_quadratic_factor_squared():
+    # the companion matrix of (X^2 - 2)^2 = X^4 - 4X^2 + 4: one block of
+    # size 2 for X^2 - 2, whose rank chain stops at k - 1 = 1
+    M = [[F(x) for x in row] for row in ([0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0])]
+    profile = jordan_profile(M)
+    assert [(p.pretty(), sizes) for p, sizes in profile.entries] == [("X^2 - 2", (2,))]
+    assert profile.dimension == 4
+
+
+def test_jordan_profile_of_a_quadratic_chain_beside_thirds():
+    # blocks (2, 1) for X^2 + 1 and a single block at 2/3, conjugated: the
+    # rank chain of X^2 + 1 runs on a matrix cleared by a denominator d > 1
+    C = [[0, -1], [1, 0]]
+    J = [[F(0)] * 7 for _ in range(7)]
+    for b in range(3):
+        for i in range(2):
+            for j in range(2):
+                J[2 * b + i][2 * b + j] = F(C[i][j])
+    J[0][2] = J[1][3] = F(1)
+    J[6][6] = F(2, 3)
+    M = _conjugate(J, 5)
+    assert any(x.denominator > 1 for row in M for x in row)
+    profile = jordan_profile(M)
+    assert [(p.pretty(), sizes) for p, sizes in profile.entries] == [
+        ("X - 2/3", (1,)),
+        ("X^2 + 1", (2, 1)),
+    ]
+
+
+@pytest.mark.parametrize("c", [F(0), F(-7, 3)])
+def test_jordan_profile_of_a_scalar_matrix(c):
+    # one linear factor with k = 1 and m = n: no power and no rank
+    n = 5
+    M = [[c if i == j else F(0) for j in range(n)] for i in range(n)]
+    x = UNIVARIATE.var(0)
+    assert jordan_profile(M).entries == [(x - c, (1,) * n)]
+
+
+def test_jordan_profile_multiplicities_rebuild_the_charpoly():
+    # the multiplicities come from traces, not from the charpoly: each
+    # factor to the sum of its block sizes multiplies back to it
+    for M in _oracle_matrices() + [M for _, M in ladder_omega_operators()]:
+        profile = jordan_profile(M)
+        back = UNIVARIATE.one()
+        for p, sizes in profile.entries:
+            back = back * p ** sum(sizes)
+        assert back == charpoly(M)
+        assert sum(p.degree() * sum(sizes) for p, sizes in profile.entries) == len(M)
+
+
+@pytest.mark.parametrize("function", [charpoly, minpoly, char_min_poly, jordan_profile])
+@pytest.mark.parametrize("M", [[[F(1), F(2)]], [[F(1)], [F(2)]]], ids=["1x2", "2x1"])
+def test_non_square_matrix_is_rejected(function, M):
+    with pytest.raises(ValueError, match="not square"):
+        function(M)
 
 
 def test_empty_matrix():
