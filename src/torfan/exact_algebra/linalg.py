@@ -7,14 +7,15 @@ matrix.  rank reads its length, ``_int_det`` its last pivot, and rref
 back-substitutes over it; solve, nullspace and inverse read rref and
 its pivots, and localize and the other exact generalized kernels read
 the chain ker N ⊂ ker N^2 ⊂ ... of ``_kernel_chain``, one rref per
-power.  The spectral basis of :mod:`torfan.perturbation` reads the
-generalized eigenspace ker N^p off that chain and its dual off the
-left kernel of N^p, a nullspace.
+power.  :mod:`torfan.perturbation` reads the primary component
+ker p(A)^k off the chain of p(A) and its dual off the left kernel of
+the chain's last power, a nullspace.
 charpoly, minpoly and jordan_profile clear their input to integers once
 and run on Python ints; jordan_profile reads its factors off minpoly,
 their multiplicities off traces by Newton's identities, and ranks p(M)^j
-only below p's exponent in minpoly.  The numeric entry point is
-:func:`complex_eigen`, whose results are residual-checked, and its
+only below p's exponent in minpoly.  Both it and the primary components
+take p(M), up to a factor, from ``_int_poly_at``.  The numeric entry
+point is :func:`complex_eigen`, whose results are residual-checked, and its
 spectra are ordered by :func:`spectral_order` and paired across samples
 by :func:`match_nearest`.
 """
@@ -269,6 +270,20 @@ def _int_mul(A, B):
     return out
 
 
+def _int_poly_at(B, d, p):
+    """L·d^e·p(B/d) for a monic p of degree e and L clearing its coefficients,
+    by Horner's rule from L·B with q_j = L·d^(e-j)·p_j on the diagonal."""
+    L, e = lcm(*(c.denominator for c in p.terms.values())), p.degree()
+    P = [[L * x for x in row] for row in B]
+    for j in range(e - 1, -1, -1):
+        if j < e - 1:
+            P = _int_mul(P, B)
+        q = int(L * p.coeff((j,))) * d ** (e - j)
+        for i in range(len(B)):
+            P[i][i] += q
+    return P
+
+
 def _poly_from_coeffs(coeffs):
     """Univariate polynomial from ascending coefficients."""
     return Polynomial(
@@ -411,17 +426,7 @@ def jordan_profile(M):
         e = p.degree()
         ranks = [n]
         if k > 1:
-            # Horner's rule from L·B for L·d^e·p(M) = q(B), with
-            # q_j = L·d^(e-j)·p_j and L clearing the coefficients of p
-            L = lcm(*(c.denominator for c in p.terms.values()))
-            P = [[L * x for x in row] for row in B]
-            for j in range(e - 1, -1, -1):
-                if j < e - 1:
-                    P = _int_mul(P, B)
-                q = int(L * p.coeff((j,))) * d ** (e - j)
-                for i in range(n):
-                    P[i][i] += q
-            Pj = P
+            Pj = P = _int_poly_at(B, d, p)
             for j in range(1, k):
                 if j > 1:
                     Pj = _int_mul(Pj, P)

@@ -5,9 +5,8 @@ fixed-node trapezoid contour only where V is numerically singular or
 too ill-conditioned; eigenvalue tracking along a ray; the gap
 ||V - U (U^H V)||_2 between subspaces; and four continuity checks at an
 eigenvalue of A(0) (total-projection limits, Kato's reduction process,
-semisimple eigenline limits and eigenline-cluster limits), which read
-its generalized eigenspace from one reader: exact at a rational
-eigenvalue of a real A(0), numeric elsewhere."""
+semisimple eigenline limits and eigenline-cluster limits), which read a
+real A(0) exactly, by the primary components of its charpoly's factors."""
 
 import math
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .exact_algebra import (
     to_numpy,
     transpose,
 )
-from .exact_algebra.linalg import _kernel_chain
+from .exact_algebra.linalg import _clear, _int_poly_at, _kernel_chain, _poly_from_coeffs
 
 __all__ = [
     "MatrixFamily",
@@ -233,22 +232,15 @@ def track_eigenvalues(fam, ray=None):
 # -- generalized eigenspaces of A(0) ---------------------------------
 
 
-def _exact_shift(A0, lam):
-    """A0 - lam I as an exact rational matrix, subtracting lam on the
-    diagonal only, or None when A0 (an exact A(0), None when complex) or
-    lam is not real.  A Fraction lam is taken as it is."""
-    z = complex(lam)
-    if A0 is None or z.imag or not np.isfinite(z):
-        return None
-    lam = lam if isinstance(lam, Fraction) else Fraction(z.real)
-    return [row[:i] + [row[i] - lam] + row[i + 1:] for i, row in enumerate(A0)]
+def _primary(A0r, p):
+    """_kernel_chain of an integer multiple of p(A0r) (_int_poly_at): for a
+    factor p^k of A0r's charpoly over Q, its last kernel spans the primary
+    component ker p(A0r)^k, and there are two kernels when p is semisimple."""
+    return _kernel_chain(_int_poly_at(*_clear(A0r), p))
 
 
 def _roots(p):
-    """The roots of an irreducible rational polynomial: a Fraction when
-    it is linear, else numbers from np.roots."""
-    if p.degree() == 1:
-        return [-p.coeff((0,))]
+    """The roots of a rational polynomial, from np.roots."""
     return list(np.roots([float(p.coeff((k,))) for k in range(p.degree(), -1, -1)]))
 
 
@@ -376,26 +368,34 @@ def _generalized_eigenspace(fam, A0r, lam):
     """(K, semisimple, P): the columns of K span the generalized
     eigenspace of A(0) at lam, semisimple says whether A(0) is
     diagonalizable there, and _dual_basis reads the dual of K from P.
-    A0r is fam.rational_coefficient(0).  Exact when the chain of the
-    exact shift N = A0r - lam I (_kernel_chain) finds a kernel: K spans
-    ker N^p, semisimple means p = 1, and P = N^p.  Otherwise numeric, as
-    at an irrational lam: K is an orthonormal basis of the range of the
-    total projection P of the m eigenvalues within a relative 1e-8 of
-    lam, and semisimple means rank(A(0) - lam) = n - m at 1e-8.
-    ValueError when m = 0: lam is not an eigenvalue."""
-    N = _exact_shift(A0r, lam)
-    if N is not None:
-        kernels, P, _ = _kernel_chain(N)
+    A0r is fam.rational_coefficient(0).  Exact where the chain of X - lam
+    (_primary) at a finite real lam finds a kernel: K spans ker N^p,
+    semisimple means p = 1, and P is a multiple of N^p, N = A0r - lam.
+    Else K is an orthonormal basis of the range of the total projection P
+    of the m eigenvalues nearest lam: m and semisimple are the factor's of
+    A0r's charpoly with a root within a relative 1e-8 of lam; for a complex
+    A(0), m counts eig(A(0)) there and semisimple means rank(A(0) - lam) =
+    n - m at 1e-8.  ValueError when m = 0: lam is not an eigenvalue."""
+    z = complex(lam)
+    if A0r is not None and not z.imag and np.isfinite(z):
+        X_lam = _poly_from_coeffs([-(lam if isinstance(lam, Fraction) else Fraction(z.real)), 1])
+        kernels, P, _ = _primary(A0r, X_lam)
         if len(kernels) > 1:
             return transpose(kernels[-1]), len(kernels) == 2, P
     A0 = fam(0.0)
     eig0 = _eigen_decomposition(A0)
     w = eig0[0]
-    m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
+    if A0r is None:
+        m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
+    else:
+        roots = [(r, p, k) for p, k in factor_rational_poly(charpoly(A0r)) for r in _roots(p)]
+        tol = 1e-8 * max([1.0] + [abs(r) for r, _, _ in roots])
+        p, m = next(((p, k) for r, p, k in roots if abs(r - lam) < tol), (None, 0))
     if not m:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
+    semisimple = (len(_primary(A0r, p)[0]) == 2 if A0r is not None else
+                  np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m)
     P = _total_projection(A0, eig0, lam, m)
-    semisimple = np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m
     return np.linalg.svd(P)[0][:, :m], semisimple, P
 
 
@@ -596,13 +596,12 @@ def gevec_convergence(fam, ray=None):
     clusters are the connected classes.  A cycle's span at an eigenvalue
     lam tends to a k-dimensional N-invariant subspace of ker N^p,
     N = A(0) - lam, which A_1 picks (Lidskii; Moro, Burke and Overton
-    1997): the residual is the larger of the gap from an orthonormal
-    basis Q of the span to ker N^p and ||N Q - Q (Q^H N Q)||_2, N scaled
-    to norm <= 1 so as not to magnify the round-off of near-parallel
-    lines, at the lam whose N takes the final line nearest to 0.  The lam
-    are the roots of A(0)'s exact charpoly (_roots), and ker N^p is
-    _generalized_eigenspace's; ClusterAmbiguous unless their dimensions
-    add up to n, ValueError unless A(0) is real."""
+    1997), inside the primary component K = ker p(A(0))^k of lam's factor
+    p^k in A(0)'s charpoly over Q (_primary; they add up to n).  The
+    residual is the larger of the gap from an orthonormal basis Q of the
+    span to the K nearest the final line and ||N Q - Q (Q^H N Q)||_2, with
+    N = A(0) - (mean of p's roots) scaled to norm <= 1 so as not to magnify
+    the round-off of near-parallel lines.  ValueError unless A(0) is real."""
     xs, eigs = _ray_tail(ray, lambda x: _eigenlines(fam(x)))
     points = []
     for w, v in eigs:
@@ -620,29 +619,25 @@ def gevec_convergence(fam, ray=None):
         lo, hi = sorted((label[a], label[b]))
         label = [lo if k == hi else k for k in label]
 
-    # per eigenvalue lam of A(0) (_roots of its charpoly's factors): the
-    # scaled shift N and an orthonormal basis U of its generalized eigenspace
+    # per irreducible factor p of A(0)'s charpoly: the scaled shift N and an
+    # orthonormal basis U of its primary component
     A0r = fam.rational_coefficient(0)
     if A0r is None:
         raise ValueError("exact block data needs a real rational constant term")
     A0 = fam(0.0)
     spaces = []
     for p, _ in factor_rational_poly(charpoly(A0r)):
-        for lam in _roots(p):
-            U = Subspace.from_vectors(_generalized_eigenspace(fam, A0r, lam)[0]).orthonormal_basis
-            N = A0 - complex(lam) * np.eye(fam.size)
-            spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
-    dims = [U.shape[1] for _, U in spaces]
-    if sum(dims) != fam.size:
-        raise ClusterAmbiguous(f"A(0)'s generalized eigenspaces {dims} add up to {sum(dims)}")
+        U = Subspace.from_vectors(transpose(_primary(A0r, p)[0][-1])).orthonormal_basis
+        N = A0 - float(p.coeff((p.degree() - 1,)) / -p.degree()) * np.eye(fam.size)
+        spaces.append((N / max(1.0, float(np.linalg.norm(N, 2))), U))
 
     out = []
     for root in sorted(set(label)):
         members = [i for i in range(fam.size) if label[i] == root]
-        N, U = min(spaces, key=lambda s: np.linalg.norm(s[0] @ lines[members[0], -1]))
+        N, U = min(spaces, key=lambda s: _gap(s[1], lines[members[0], -1, :, None]))
         # one orthonormal basis Q of the cluster's span per ray point
         Q = np.linalg.qr(lines[members].transpose(1, 2, 0))[0]
-        # Q in ker N^p, and span(Q) invariant: N Q has no part off Q
+        # Q in the component U, and span(Q) invariant: N Q has no part off Q
         residuals = np.maximum(_gap(U, Q), _gap(Q, N @ Q)).tolist()
         decreasing = all(b <= a + 1e-9 for a, b in zip(residuals, residuals[1:]))
         out.append(GevecCluster(size=len(members), residuals=residuals, decreasing=decreasing))

@@ -3,6 +3,7 @@ determinism, and exit codes."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -232,11 +233,13 @@ def test_kato_warns_when_branches_meet_at_the_ray_end(capsys, tmp_path):
     assert "fewer than six" in results["gevec_warning"]
 
 
-def test_kato_warns_when_the_eigenspaces_of_a0_miss_its_size(capsys, tmp_path):
+def test_kato_reads_the_primary_components_of_a_float_rounded_a0(capsys, tmp_path):
     # S diag(x, x, 1, 2) S^-1 in floats: A(0)'s entries such as 1/11 are
     # rounded, and read as exact they split the double eigenvalue 0 into
-    # an exact 0 with a 1-dimensional kernel and a root near 1e-15 whose
-    # numeric eigenspace has dimension 2, five dimensions for n = 4
+    # an exact 0 and a root near 1e-15 of an irreducible cubic.  The
+    # primary components of X and of the cubic add up to 4, so gevec
+    # reports: one line at 0 lies in the cubic's component, where it is
+    # not invariant under A(0) - c, c the mean of the cubic's roots
     S = [[-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2]]
     S = [[Fraction(v) for v in row] for row in S]
 
@@ -247,9 +250,24 @@ def test_kato_warns_when_the_eigenspaces_of_a0_miss_its_size(capsys, tmp_path):
     A0, A1 = conjugate([0, 0, 1, 2]), conjugate([1, 1, 0, 0])
     entries = [[[float(A0[i][j]), float(A1[i][j])] for j in range(4)] for i in range(4)]
     code, results = _kato(capsys, tmp_path, entries)
-    assert code == 0 and "gevec_ok" not in results
-    assert results["gevec_warning"].startswith("ClusterAmbiguous: ")
-    assert "add up to 5" in results["gevec_warning"]
+    assert code == 0 and "gevec_warning" not in results
+    assert results["gevec_ok"] is False
+    clusters = results["gevec_clusters"]
+    assert [c["size"] for c in clusters] == [1, 1, 1, 1]
+    assert sum(abs(c["final_distance"] - 0.47) < 0.01 for c in clusters) == 1
+
+
+def test_kato_at_defective_irrational_eigenvalues(capsys, tmp_path):
+    # the companion matrix of (X^2 - 2)^2 plus x A_1, A_1 from
+    # random.Random(1): a Jordan block at each of +-sqrt(2), which eig
+    # spreads by about sqrt(eps); the primary component of X^2 - 2 is exact
+    A0 = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]
+    rng = random.Random(1)
+    A1 = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+    entries = [[[A0[i][j], A1[i][j]] for j in range(4)] for i in range(4)]
+    code, results = _kato(capsys, tmp_path, entries)
+    assert code == 0 and "gevec_warning" not in results
+    assert results["gevec_ok"] is True
 
 
 def test_kato_on_an_empty_family_is_a_validation_error(capsys):

@@ -36,6 +36,7 @@ from torfan.exact_algebra import (
     spectral_order,
     to_numpy,
 )
+from torfan.exact_algebra.linalg import _clear, _int_poly_at, _poly_from_coeffs
 from torfan.superpotential import build_superpotential, jacobian_ring
 
 F = Fraction
@@ -353,6 +354,28 @@ def test_jordan_profile_multiplicities_rebuild_the_charpoly():
             back = back * p ** sum(sizes)
         assert back == charpoly(M)
         assert sum(p.degree() * sum(sizes) for p, sizes in profile.entries) == len(M)
+
+
+def test_int_poly_at_is_a_positive_multiple_of_p_of_m():
+    """_int_poly_at on the cleared matrix against p(M) by Horner's rule in
+    Fractions (mat_mul), for monic p of degree 1-3 with seeded rational
+    coefficients: an integer matrix, p(M) times one positive factor."""
+    rng = random.Random(32)
+    for M in _oracle_matrices():
+        n = len(M)
+        for e in (1, 2, 3):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(e)] + [F(1)]
+            pM = [[F(0)] * n for _ in range(n)]
+            for c in reversed(coeffs):
+                pM = mat_mul(pM, M)
+                for i in range(n):
+                    pM[i][i] += c
+            got = _int_poly_at(*_clear(M), _poly_from_coeffs(coeffs))
+            assert all(type(g) is int for row in got for g in row)
+            pairs = [(g, x) for grow, xrow in zip(got, pM) for g, x in zip(grow, xrow)]
+            assert all((g == 0) == (x == 0) for g, x in pairs)
+            ratios = {g / x for g, x in pairs if x}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios), (M, coeffs)
 
 
 @pytest.mark.parametrize("function", [charpoly, minpoly, char_min_poly, jordan_profile])

@@ -242,7 +242,7 @@ def test_collision_is_exact_on_real_families():
 
 COMPLEX = MatrixFamily.make(
     [[(1j,), (0, 1), (0, 1)], [(0, 1), (1j,), (0,)], [(0,), (0, 1), (2,)]]
-)  # A(0) = diag(i, i, 2) is not real, so no exact shift exists
+)  # A(0) = diag(i, i, 2) is not real, so it has no primary components over Q
 
 
 @pytest.mark.parametrize(
@@ -650,11 +650,11 @@ def test_canonical_eigenbasis_keeps_a_complex_previous_point():
 # -- irrational eigenvalues of A(0) ------------------------------------
 
 
-def _plus_seeded_a1(A0):
+def _plus_seeded_a1(A0, seed=1):
     """A(x) = A0 + x A_1, A_1 an integer matrix with entries in -2..2
-    drawn from random.Random(1)."""
+    drawn from random.Random(seed)."""
     n = len(A0)
-    rng = random.Random(1)
+    rng = random.Random(seed)
     A1 = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
     return MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(n)] for i in range(n)])
 
@@ -670,23 +670,24 @@ IRRATIONAL_CASES = {
     "Bl1P3": lambda: _omega(*reflexive_blowup(3, 1)),
     "O(-2)->P4": lambda: _omega(*nlb_from_k(*projective_space(4), 2)[:2]),
     "sqrt2": lambda: [[F(0), F(2)], [F(1), F(0)]],
+    "i": lambda: [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(2)]],
 }
 
 
 @pytest.mark.parametrize("name", IRRATIONAL_CASES)
 def test_continuity_checks_at_irrational_eigenvalues(name):
-    """At each irrational real eigenvalue of A(0) (a root of a factor of
-    degree > 1 of its charpoly), the ladder's omega or [[0, 2], [1, 0]],
-    the eigenspace is read numerically and both ray checks converge at
-    rate x; the eigenline clusters converge at every eigenvalue."""
+    """At each irrational eigenvalue of A(0), real or not (a root of a
+    factor of degree > 1 of its charpoly), the ladder's omega, [[0, 2],
+    [1, 0]] or a rotation beside 2, the eigenspace is the range of the
+    total projection and both ray checks converge at rate x; the
+    eigenline clusters converge at every eigenvalue."""
     A0 = IRRATIONAL_CASES[name]()
     fam = _plus_seeded_a1(A0)
     eigenvalues = [
-        float(r.real)
+        complex(r) if r.imag else float(r.real)
         for p, _ in factor_rational_poly(charpoly(A0))
         if p.degree() > 1
         for r in np.roots([float(p.coeff((k,))) for k in range(p.degree(), -1, -1)])
-        if not r.imag
     ]
     assert eigenvalues
     for lam in eigenvalues:
@@ -694,3 +695,87 @@ def test_continuity_checks_at_irrational_eigenvalues(name):
             rep = check(fam, lam)
             assert rep.ok and abs(rep.slope - 1) < 0.05, (lam, check.__name__)
     assert gevec_convergence(fam).ok
+
+
+# X^2 - 2 squared: a Jordan block of size 2 at each of +-sqrt(2)
+QUADRATIC_CHAIN = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_total_projection_at_a_defective_irrational_eigenvalue(seed):
+    """The companion matrix of (X^2 - 2)^2 plus x A_1: eig spreads each
+    double root +-sqrt(2) of A(0) by about sqrt(eps), yet the factor
+    X^2 - 2 of its charpoly gives the multiplicity 2 exactly, and the
+    total projection converges at rate x."""
+    fam = _plus_seeded_a1(QUADRATIC_CHAIN, seed)
+    for lam in (2 ** 0.5, -(2 ** 0.5)):
+        rep = total_projection_limit_check(fam, lam)
+        assert rep.ok and abs(rep.slope - 1) < 0.05, lam
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_semisimple_checks_refuse_a_defective_irrational_eigenvalue(seed):
+    # the chain of X^2 - 2 has two steps: a Jordan block at each root
+    fam = _plus_seeded_a1(QUADRATIC_CHAIN, seed)
+    for lam in (2 ** 0.5, -(2 ** 0.5)):
+        for check in (semisimple_convergence_check, derivative_spectrum):
+            with pytest.raises(NotSemisimple):
+                check(fam, lam)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gevec_convergence_at_defective_irrational_eigenvalues(seed):
+    # one primary component, of dimension 4, and a Puiseux pair per block
+    rep = gevec_convergence(_plus_seeded_a1(QUADRATIC_CHAIN, seed))
+    assert rep.ok
+    assert [c.size for c in rep.clusters] == [2, 2]
+
+
+@pytest.mark.parametrize("lam", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "fam",
+    [_plus_seeded_a1(IRRATIONAL_CASES["sqrt2"]()), COMPLEX],
+    ids=["real", "complex"],
+)
+def test_continuity_checks_at_a_non_finite_lam(fam, lam):
+    for check in (total_projection_limit_check, derivative_spectrum, semisimple_convergence_check):
+        with pytest.raises(ValueError, match=f"^{lam} is not an eigenvalue"):
+            check(fam, lam)
+
+
+def _rounded_conjugate(seed):
+    """T (J_2(a) + J_2(b)) T^-1 + x T A_1 T^-1 rounded to floats: T with
+    entries p/q, |p| <= 3 and 1 <= q <= 13, from random.Random(2000 + seed)
+    and redrawn until invertible, (a, b) = rng.sample(range(-3, 4), 2) and
+    A_1 with entries in -2..2."""
+    rng = random.Random(2000 + seed)
+    while True:
+        T = [[F(rng.randint(-3, 3), rng.randint(1, 13)) for _ in range(4)] for _ in range(4)]
+        try:
+            Ti = inverse(T)
+        except Inconsistent:
+            continue
+        break
+    a, b = rng.sample(range(-3, 4), 2)
+    J = [[F(0)] * 4 for _ in range(4)]
+    J[0][0] = J[1][1] = F(a)
+    J[2][2] = J[3][3] = F(b)
+    J[0][1] = J[2][3] = F(1)
+    A1 = [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
+    A0, A1 = (mat_mul(mat_mul(T, M), Ti) for M in (J, A1))
+    return MatrixFamily.make(
+        [[(float(A0[i][j]), float(A1[i][j])) for j in range(4)] for i in range(4)]
+    )
+
+
+def test_gevec_convergence_on_float_rounded_conjugates():
+    """Rounded to floats, the conjugates' exact charpoly may split the
+    double eigenvalues a and b into nearby roots, or leave an irreducible
+    factor; each primary component is read exactly, and they add up to 4.
+    gevec ends in a report, or in too few kept ray points where two
+    branches meet: never in a missing eigenvalue or a failed contour."""
+    for seed in range(35):
+        try:
+            gevec_convergence(_rounded_conjugate(seed))
+        except ClusterAmbiguous as exc:
+            assert "isolated ray points" in str(exc), seed
