@@ -12,19 +12,10 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .bundle_blowup import blowup_face, nlb_from_k
 from .errors import ParseError, TorfanError, Unbounded, ValidationError
-from .exact_algebra import char_min_poly, complex_eigen, spectral_order, to_numpy
+from .exact_algebra import char_min_poly, exact_roots, spectral_order
 from .lattice_fan import Fan, primitive_collections, validate_fan
-from .perturbation import (
-    MatrixFamily,
-    default_ray,
-    gevec_convergence,
-    pole_exponent,
-    track_eigenvalues,
-)
 from .polytope import (
     MomentPolytope,
     barycentre,
@@ -200,6 +191,8 @@ def parse_matrix_document(text):
     """JSON matrix-family document -> MatrixFamily.  Each entry is a
     list of polynomial coefficients in ascending powers of x; a complex
     coefficient is written [re, im]."""
+    from .perturbation import MatrixFamily
+
     doc = _load_json(text)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError("matrix document needs a field 'entries'")
@@ -233,8 +226,6 @@ def _ser(value):
         return [float(value.real), float(value.imag)]
     if isinstance(value, float):
         return float(value)
-    if isinstance(value, np.generic):
-        return _ser(value.item())
     if isinstance(value, dict):
         return {str(k): _ser(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -291,7 +282,7 @@ def _omega_report(A, P):
     return chi, {
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": spectral_order(complex_eigen(to_numpy(M))[0]),
+        "omega_eigenvalues": spectral_order(exact_roots(chi)),
     }
 
 
@@ -419,6 +410,8 @@ def _cmd_separate(fan, P, options, args, spec=None):
 
 
 def _cmd_kato(fam, args):
+    from .perturbation import default_ray, gevec_convergence, pole_exponent, track_eigenvalues
+
     ray = default_ray()
     paths = track_eigenvalues(fam, ray)
     branches = []

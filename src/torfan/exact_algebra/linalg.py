@@ -1,4 +1,5 @@
-"""Exact rational linear algebra plus the numeric eigensolver.
+"""Exact rational linear algebra, exact roots of rational polynomials,
+and the numeric eigensolver.
 
 Rational matrices are row-major lists of lists of Fraction (or int).
 Exact routines never approximate, and all of them eliminate with one
@@ -14,17 +15,19 @@ charpoly, minpoly and jordan_profile clear their input to integers once
 and run on Python ints; jordan_profile reads its factors off minpoly,
 their multiplicities off traces by Newton's identities, and ranks p(M)^j
 only below p's exponent in minpoly.  Both it and the primary components
-take p(M), up to a factor, from ``_int_poly_at``.  The numeric entry
-point is :func:`complex_eigen`, whose results are residual-checked, and its
-spectra are ordered by :func:`spectral_order` and paired across samples
-by :func:`match_nearest`.
+take p(M), up to a factor, from ``_int_poly_at``.
+:func:`exact_roots` reads the complex roots of a rational polynomial off
+its exact factorization, in Python floats.  The numeric entry points are
+:func:`to_numpy` and :func:`complex_eigen`, whose results are
+residual-checked; they alone import numpy, when first called.  Spectra
+are ordered by :func:`spectral_order` and paired across samples by
+:func:`match_nearest`.
 """
 
+from cmath import rect
 from fractions import Fraction
 from itertools import count
 from math import atan2, gcd, lcm, tau
-
-import numpy as np
 
 from ..errors import Inconsistent, NonConvergence
 from .factor import factor_integer_poly
@@ -91,6 +94,8 @@ def transpose(A):
 
 def to_numpy(A, dtype=complex):
     """Numeric copy of a matrix; the empty matrix gives shape (0, 0)."""
+    import numpy as np
+
     if not A:
         return np.zeros((0, 0), dtype=dtype)
     return np.array([[dtype(x) for x in row] for row in A], dtype=dtype)
@@ -469,12 +474,85 @@ def localize(A, f):
     return QuotientAlgebra(A.ring, basis, mult, None)
 
 
+# -- roots of rational polynomials ------------------------------------
+
+ROOT_BACKWARD_ERROR = 1e-12
+
+
+def _horner(c, z):
+    """(N, D, b) for the ascending complex coefficients c of f at z: f(z)/f'(z)
+    = N/D, and b = |f(z)| / sum |c_i|·|z|^i, the relative backward error.
+    For |z| > 1 it reads g(x) = x^n·f(1/x) at x = 1/z, where f/f' =
+    z·g/(n·g - x·g'), so that no power of z overflows."""
+    big = abs(z) > 1
+    x = 1 / z if big else z
+    f = df = 0j
+    s, ax = 0.0, abs(x)
+    for a in c if big else reversed(c):
+        df = df * x + f
+        f = f * x + a
+        s = s * ax + abs(a)
+    if big:
+        return z * f, (len(c) - 1) * f - x * df, abs(f) / s
+    return f, df, abs(f) / s
+
+
+def _aberth(c):
+    """Roots of a squarefree polynomial with ascending complex coefficients c
+    and c_0 != 0, by the Aberth–Ehrlich iteration (Aberth 1973; Bini 1996)
+    from n points on the circle of radius |c_0/c_n|^(1/n), each corrected in
+    turn by N / (D - N·sum_j 1/(z - z_j)), for at most 100 sweeps or until
+    no correction exceeds 4 ulp of its root."""
+    n = len(c) - 1
+    r = abs(c[0] / c[-1]) ** (1 / n)
+    zs = [rect(r, tau * k / n + 0.4) for k in range(n)]
+    for _ in range(100):
+        moved = False
+        for i, z in enumerate(zs):
+            N, D, _ = _horner(c, z)
+            D -= N * sum(1 / (z - w) for w in zs if w != z)
+            if N and D:
+                step = N / D
+                zs[i] = z - step
+                moved = moved or abs(step) > 2 ** -50 * abs(z)
+        if not moved:
+            break
+    return zs
+
+
+def exact_roots(p):
+    """Complex roots of a univariate rational polynomial, each repeated by its
+    multiplicity; a constant gives [].
+
+    The multiplicities come from :func:`factor_rational_poly`.  A linear
+    factor gives its root exactly; the roots of every other factor, which is
+    irreducible and so squarefree, come from ``_aberth`` in Python floats.
+    Raises NonConvergence when a root's relative backward error on its own
+    factor exceeds ROOT_BACKWARD_ERROR."""
+    roots = []
+    for f, mult in factor_rational_poly(p):
+        if f.degree() == 1:
+            zs = [complex(-f.coeff((0,)))]
+        else:
+            c = [complex(f.coeff((j,))) for j in range(f.degree() + 1)]
+            zs = _aberth(c)
+            worst = max(_horner(c, z)[2] for z in zs)
+            if worst > ROOT_BACKWARD_ERROR:
+                raise NonConvergence(
+                    f"root backward error {worst:.3e} of {f.pretty()} exceeds {ROOT_BACKWARD_ERROR:.1e}"
+                )
+        roots += zs * mult
+    return roots
+
+
 # -- numeric eigensolver ----------------------------------------------
 
 
 def complex_eigen(M):
     """Eigenvalues and eigenvectors of a complex matrix, with residual
     guarantee ||M v - lam v|| <= 1e-10 * ||M|| per returned pair."""
+    import numpy as np
+
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix is not square")

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd
 
-import numpy as np
-
 from ._feas import recession_ray
 from .errors import (
     DegreeCapExceeded,
@@ -145,10 +143,15 @@ def jacobian_ring(W, coefficients=None):
 
 
 # -- numeric Laurent evaluation ---------------------------------------
+#
+# These functions and galkin_point import numpy when called, so that
+# the exact layers load it only on the way to a float matrix.
 
 
 def _terms(E, c, z):
     """Term values c_i z^{e_i}, one per row of the exponent matrix E."""
+    import numpy as np
+
     return c * np.prod(np.asarray(z, dtype=complex) ** E, axis=1)
 
 
@@ -159,6 +162,8 @@ def _log_gradient(E, c, z):
 
 def _hessian(E, c, z):
     """d2W/dz_j dz_k at z."""
+    import numpy as np
+
     t = _terms(E, c, z)
     return ((E.T * t) @ E - np.diag(E.T @ t)) / np.outer(z, z)
 
@@ -166,6 +171,8 @@ def _hessian(E, c, z):
 def _newton_polish(E, c, z0):
     """Newton iteration on the logarithmic gradient from z0, at most 100
     steps, until ||dW/dz|| <= 1e-12."""
+    import numpy as np
+
     z = np.array(z0, dtype=complex)
     for _ in range(100):
         t = _terms(E, c, z)
@@ -192,6 +199,8 @@ def critical_points(W, seed=0, coefficients=None, jac=None):
     by Newton iteration; Hessian ranks from singular values. W's
     coefficients are 1 (t = 1) unless given; ``jac`` is the Jacobian
     ring of the same W and coefficients when the caller has it."""
+    import numpy as np
+
     E = np.array(W.edges())
     c = np.array([complex(x) for x in _coefficients(W, coefficients)])
     J = jac if jac is not None else jacobian_ring(W, coefficients)
@@ -343,6 +352,8 @@ def galkin_point(fan):
     if cert is not None:
         ints = _clear_rows([cert])[0]
         raise HalfSpaceFan(tuple(x // gcd(*ints) for x in ints))
+    import numpy as np
+
     E = np.array(fan.edges, dtype=float)
     u = np.zeros(fan.rank)
     for _ in range(200):

@@ -666,6 +666,67 @@ def test_cli_commands_run_without_sympy(capsys, cmd, doc):
     assert code == 0
 
 
+# Runs the CLI with every import of numpy failing, once per document named
+# after the command, and prints [exit status, stdout, stderr] of each run
+# as one JSON list.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from torfan.cli import main
+runs = []
+for path in sys.argv[2:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([sys.argv[1], "--input", path, "--format", "json"])
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+_FAN_DOCUMENTS = sorted(
+    p.name for p in Path(str(EXAMPLES)).glob("*.json") if p.name != "schema.json" and not p.name.startswith("kato")
+)
+_HALF_SPACE_DOCUMENTS = ["c3_blowup.json", "p1xp1_nlb.json", "p2_nlb.json", "p3_nlb.json", "p4_nlb.json"]
+
+
+@pytest.mark.parametrize(
+    "cmd,docs",
+    [
+        (cmd, _FAN_DOCUMENTS)
+        for cmd in ("validate", "qh", "sh", "mirror", "barycentre", "linebundle", "blowup")
+    ]
+    + [("galkin", _HALF_SPACE_DOCUMENTS)],
+    ids=lambda v: v if isinstance(v, str) else f"{len(v)}-documents",
+)
+def test_cli_commands_run_without_numpy(capsys, cmd, docs):
+    """The exact commands, and galkin's refusal on a fan in a half-space,
+    never import numpy: each run matches a normal one byte for byte."""
+    blocked = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, cmd, *map(example, docs)],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    normal = [list(run(capsys, cmd, "--input", example(doc), "--format", "json")) for doc in docs]
+    assert json.loads(blocked.stdout) == normal
+    if cmd == "galkin":
+        assert all(code == 1 and err.startswith("HalfSpaceFan: ") for code, _, err in normal)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, torfan.cli; print('numpy' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_qh_reads_a_double_eigenvalue_exactly(capsys):
+    # omega = c1 on QH*(P^1 x P^1) has charpoly X^2 (X - 2)(X + 2): the
+    # eigenvalue 0 comes from an exact linear factor, with no round-off
+    code, out, _ = run(capsys, "qh", "--input", example("p1xp1.json"), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["omega_eigenvalues"] == [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]
+
+
 def _torfan_errors():
     """Every TorfanError subclass by name."""
     found, todo = {}, [errors.TorfanError]

@@ -17,6 +17,7 @@ from torfan.exact_algebra import (
     char_min_poly,
     charpoly,
     complex_eigen,
+    exact_roots,
     factor_rational_poly,
     grevlex_key,
     groebner_basis,
@@ -36,7 +37,7 @@ from torfan.exact_algebra import (
     spectral_order,
     to_numpy,
 )
-from torfan.exact_algebra.linalg import _clear, _int_poly_at, _poly_from_coeffs
+from torfan.exact_algebra.linalg import ROOT_BACKWARD_ERROR, _clear, _int_poly_at, _poly_from_coeffs
 from torfan.superpotential import build_superpotential, jacobian_ring
 
 F = Fraction
@@ -228,6 +229,54 @@ def test_factorization_of_known_products():
 def test_factor_constant_is_empty():
     assert factor_rational_poly(UNIVARIATE.constant(F(-3, 7))) == []
     assert factor_rational_poly(UNIVARIATE.zero()) == []
+
+
+def test_exact_roots_match_the_eigensolver_on_the_ladder():
+    for name, M in ladder_omega_operators():
+        roots, eigs = exact_roots(charpoly(M)), complex_eigen(to_numpy(M))[0]
+        assert len(roots) == len(M), name
+        scale = max(1.0, max(abs(z) for z in eigs))
+        assert all(d <= 1e-12 * scale for _, d, _ in match_nearest(roots, eigs)), name
+
+
+def test_exact_roots_repeat_each_root_by_its_multiplicity():
+    roots = exact_roots(_X ** 2 * (_X ** 2 + 1) ** 3 * (_X - F(1, 3)))
+    assert roots.count(0j) == 2 and roots.count(complex(F(1, 3))) == 1
+    rest = [z for z in roots if z not in (0j, complex(F(1, 3)))]
+    assert len(rest) == 6
+    assert sorted(round(z.imag) for z in rest) == [-1] * 3 + [1] * 3
+    assert all(abs(z - round(z.imag) * 1j) <= 1e-15 for z in rest)
+
+
+def _backward_error(coeffs, z):
+    """|p(z)| / sum |c_i|·|z|^i for integer coefficients c, exactly in
+    integers: z = (a + ib)/s and |z| = m/s, both sides times s^deg p."""
+    (a, s1), (b, s2), (m, s3) = (x.as_integer_ratio() for x in (z.real, z.imag, abs(z)))
+    s = max(s1, s2, s3)  # powers of two
+    a, b, m = a * s // s1, b * s // s2, m * s // s3
+    re = im = den = 0
+    w = 1
+    for c in reversed(coeffs):
+        re, im, den = re * a - im * b + c * w, re * b + im * a, den * m + abs(c) * w
+        w *= s
+    return ((re * re + im * im) / den ** 2) ** 0.5
+
+
+def test_exact_roots_of_seeded_integer_polynomials():
+    # every third leading coefficient is 1, so that roots reach |z| ~ 1e8
+    rng = random.Random(1973)
+    for trial in range(60):
+        d = rng.randint(2, 40)
+        lead = 1 if trial % 3 == 0 else rng.choice([-1, 1]) * rng.randint(1, 10 ** 8)
+        coeffs = [rng.randint(-10 ** 8, 10 ** 8) for _ in range(d)] + [lead]
+        roots = exact_roots(_poly_from_coeffs(coeffs))
+        assert len(roots) == d
+        assert max(_backward_error(coeffs, z) for z in roots) <= ROOT_BACKWARD_ERROR, coeffs
+
+
+def test_exact_roots_of_a_constant_are_empty():
+    assert exact_roots(UNIVARIATE.constant(F(-3, 7))) == []
+    assert exact_roots(UNIVARIATE.zero()) == []
 
 
 def _approx(value):
