@@ -17,11 +17,12 @@ their multiplicities off traces by Newton's identities, and ranks p(M)^j
 only below p's exponent in minpoly.  Both it and the primary components
 take p(M), up to a factor, from ``_int_poly_at``.
 :func:`exact_roots` reads the complex roots of a rational polynomial off
-its exact factorization, in Python floats.  The numeric entry points are
-:func:`to_numpy` and :func:`complex_eigen`, whose results are
-residual-checked; they alone import numpy, when first called.  Spectra
-are ordered by :func:`spectral_order` and paired across samples by
-:func:`match_nearest`.
+its exact factorization, in Python floats, one factor at a time by
+``_factor_roots``, which :mod:`torfan.perturbation` also reads.  The
+numeric entry points are :func:`to_numpy` and :func:`complex_eigen`,
+whose results are residual-checked; they alone import numpy, when first
+called.  Spectra are ordered by :func:`spectral_order` and paired across
+samples by :func:`match_nearest`.
 """
 
 from cmath import rect
@@ -520,29 +521,29 @@ def _aberth(c):
     return zs
 
 
+def _factor_roots(f):
+    """The complex roots of an irreducible monic rational polynomial f, which
+    is squarefree: exact when f is linear, else from ``_aberth`` in Python
+    floats.  Raises NonConvergence when a root's relative backward error on f
+    exceeds ROOT_BACKWARD_ERROR."""
+    if f.degree() == 1:
+        return [complex(-f.coeff((0,)))]
+    c = [complex(f.coeff((j,))) for j in range(f.degree() + 1)]
+    zs = _aberth(c)
+    worst = max(_horner(c, z)[2] for z in zs)
+    if worst > ROOT_BACKWARD_ERROR:
+        raise NonConvergence(
+            f"root backward error {worst:.3e} of {f.pretty()} exceeds {ROOT_BACKWARD_ERROR:.1e}"
+        )
+    return zs
+
+
 def exact_roots(p):
     """Complex roots of a univariate rational polynomial, each repeated by its
-    multiplicity; a constant gives [].
-
-    The multiplicities come from :func:`factor_rational_poly`.  A linear
-    factor gives its root exactly; the roots of every other factor, which is
-    irreducible and so squarefree, come from ``_aberth`` in Python floats.
-    Raises NonConvergence when a root's relative backward error on its own
-    factor exceeds ROOT_BACKWARD_ERROR."""
-    roots = []
-    for f, mult in factor_rational_poly(p):
-        if f.degree() == 1:
-            zs = [complex(-f.coeff((0,)))]
-        else:
-            c = [complex(f.coeff((j,))) for j in range(f.degree() + 1)]
-            zs = _aberth(c)
-            worst = max(_horner(c, z)[2] for z in zs)
-            if worst > ROOT_BACKWARD_ERROR:
-                raise NonConvergence(
-                    f"root backward error {worst:.3e} of {f.pretty()} exceeds {ROOT_BACKWARD_ERROR:.1e}"
-                )
-        roots += zs * mult
-    return roots
+    multiplicity; a constant gives [].  The multiplicities come from
+    :func:`factor_rational_poly`, the roots of each factor from
+    ``_factor_roots``."""
+    return [z for f, mult in factor_rational_poly(p) for z in _factor_roots(f) * mult]
 
 
 # -- numeric eigensolver ----------------------------------------------

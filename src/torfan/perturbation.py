@@ -6,7 +6,9 @@ too ill-conditioned; eigenvalue tracking along a ray; the gap
 ||V - U (U^H V)||_2 between subspaces; and four continuity checks at an
 eigenvalue of A(0) (total-projection limits, Kato's reduction process,
 semisimple eigenline limits and eigenline-cluster limits), which read a
-real A(0) exactly, by the primary components of its charpoly's factors."""
+real A(0) exactly, by the primary components of its charpoly's factors:
+the first three through one reader, _reduction, with the roots of each
+factor from the per-factor root reader of exact_roots."""
 
 import math
 from dataclasses import dataclass, field
@@ -33,7 +35,13 @@ from .exact_algebra import (
     to_numpy,
     transpose,
 )
-from .exact_algebra.linalg import _clear, _int_poly_at, _kernel_chain, _poly_from_coeffs
+from .exact_algebra.linalg import (
+    _clear,
+    _factor_roots,
+    _int_poly_at,
+    _kernel_chain,
+    _poly_from_coeffs,
+)
 
 __all__ = [
     "MatrixFamily",
@@ -239,11 +247,6 @@ def _primary(A0r, p):
     return _kernel_chain(_int_poly_at(*_clear(A0r), p))
 
 
-def _roots(p):
-    """The roots of a rational polynomial, from np.roots."""
-    return list(np.roots([float(p.coeff((k,))) for k in range(p.degree(), -1, -1)]))
-
-
 # -- total projections -------------------------------------------------
 
 
@@ -364,31 +367,35 @@ class TotalProjectionReport:
     limit: np.ndarray
 
 
-def _generalized_eigenspace(fam, A0r, lam):
-    """(K, semisimple, P): the columns of K span the generalized
-    eigenspace of A(0) at lam, semisimple says whether A(0) is
-    diagonalizable there, and _dual_basis reads the dual of K from P.
-    A0r is fam.rational_coefficient(0).  Exact where the chain of X - lam
-    (_primary) at a finite real lam finds a kernel: K spans ker N^p,
-    semisimple means p = 1, and P is a multiple of N^p, N = A0r - lam.
-    Else K is an orthonormal basis of the range of the total projection P
-    of the m eigenvalues nearest lam: m and semisimple are the factor's of
-    A0r's charpoly with a root within a relative 1e-8 of lam; for a complex
-    A(0), m counts eig(A(0)) there and semisimple means rank(A(0) - lam) =
-    n - m at 1e-8.  ValueError when m = 0: lam is not an eigenvalue."""
+def _reduction(fam, lam):
+    """(K, L, semisimple): the columns of K span the generalized eigenspace
+    of A(0) at lam, the rows L are dual to them (L K = I, and K L is the
+    total projection), and semisimple says whether A(0) is diagonalizable
+    there.  Exact where the chain of X - lam (_primary) at a finite real lam
+    of a real A(0) finds a kernel: K spans ker N^p, L is _dual_basis(K, N^p)
+    and semisimple means p = 1, N = A(0) - lam.  Else K is an orthonormal
+    basis of the range of the total projection P of the m eigenvalues
+    nearest lam and L = K^H P: m and semisimple are the factor's of A(0)'s
+    charpoly over Q with a root (_factor_roots) within a relative 1e-8 of
+    lam; for a complex A(0), m counts eig(A(0)) there and semisimple means
+    rank(A(0) - lam) = n - m at 1e-8.  ValueError when m = 0: lam is not an
+    eigenvalue."""
+    A0r = fam.rational_coefficient(0)
     z = complex(lam)
     if A0r is not None and not z.imag and np.isfinite(z):
         X_lam = _poly_from_coeffs([-(lam if isinstance(lam, Fraction) else Fraction(z.real)), 1])
         kernels, P, _ = _primary(A0r, X_lam)
         if len(kernels) > 1:
-            return transpose(kernels[-1]), len(kernels) == 2, P
+            K = transpose(kernels[-1])
+            return K, _dual_basis(K, P), len(kernels) == 2
     A0 = fam(0.0)
     eig0 = _eigen_decomposition(A0)
     w = eig0[0]
     if A0r is None:
         m = int(np.sum(np.abs(w - lam) < 1e-8 * max(1.0, float(np.abs(w).max()))))
     else:
-        roots = [(r, p, k) for p, k in factor_rational_poly(charpoly(A0r)) for r in _roots(p)]
+        factors = factor_rational_poly(charpoly(A0r))
+        roots = [(r, p, k) for p, k in factors for r in _factor_roots(p)]
         tol = 1e-8 * max([1.0] + [abs(r) for r, _, _ in roots])
         p, m = next(((p, k) for r, p, k in roots if abs(r - lam) < tol), (None, 0))
     if not m:
@@ -396,18 +403,16 @@ def _generalized_eigenspace(fam, A0r, lam):
     semisimple = (len(_primary(A0r, p)[0]) == 2 if A0r is not None else
                   np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m)
     P = _total_projection(A0, eig0, lam, m)
-    return np.linalg.svd(P)[0][:, :m], semisimple, P
+    K = np.linalg.svd(P)[0][:, :m]
+    return K, K.conj().T @ P, semisimple
 
 
 def _dual_basis(K, P):
-    """The rows L dual to the columns of K (_generalized_eigenspace):
-    L K = I and L is zero on the other generalized eigenspaces, so K L is
-    the total projection.  Exact (K a list): L = (Y K)^-1 Y, the rows of
-    Y spanning the left kernel of P = N^p, which annihilates the range of
-    N^p, the invariant complement; only Y K, s x s, is inverted.
-    Numeric: L = K^H P, P the total projection."""
-    if isinstance(K, np.ndarray):
-        return K.conj().T @ P
+    """The rows L dual to the exact columns K of ker P, P = N^p the last
+    power of a kernel chain (_kernel_chain): L = (Y K)^-1 Y, the rows of Y
+    spanning the left kernel of P, which annihilates the range of N^p, the
+    invariant complement; so L K = I and K L is the projection along that
+    complement.  Only Y K, s x s, is inverted."""
     Y = nullspace(transpose(P))
     return mat_mul(inverse(mat_mul(Y, K)), Y)
 
@@ -415,11 +420,10 @@ def _dual_basis(K, P):
 def total_projection_limit_check(fam, lam, ray=None):
     """The total projection P(x) of the lam-group is holomorphic while
     the group stays isolated (Kato, II §1.4): it tends to K L, exact
-    where _generalized_eigenspace is.  The residual ||P(x) - K L||_2
-    (_ray_residual) decides the verdict only where K L is numeric.  Each
-    P(x) is read from the eigen-decomposition (_total_projection)."""
-    K, _, P = _generalized_eigenspace(fam, fam.rational_coefficient(0), lam)
-    L = _dual_basis(K, P)
+    where _reduction is.  The residual ||P(x) - K L||_2 (_ray_residual)
+    decides the verdict only where K L is numeric.  Each P(x) is read from
+    the eigen-decomposition (_total_projection)."""
+    K, L, _ = _reduction(fam, lam)
     exact, m = isinstance(L, list), len(L)
     limit = to_numpy(mat_mul(K, L)) if exact else K @ L
 
@@ -456,41 +460,36 @@ def pole_exponent(fam, path):
 # -- derivative spectrum ----------------------------------------------
 
 
-def _check_semisimple(fam, lam):
-    """(K, L): K from _generalized_eigenspace, which then spans the
-    eigenspace of A(0) at lam, and its dual L (_dual_basis);
-    NotSemisimple when lam carries a nontrivial Jordan block."""
-    K, semisimple, P = _generalized_eigenspace(fam, fam.rational_coefficient(0), lam)
+def _reduced_derivatives(fam, lam):
+    """(K, L, values, distinct): K and L from _reduction(fam, lam), the
+    eigenvalues of L A_1 K in spectral_order and whether they are pairwise
+    distinct; NotSemisimple when lam carries a nontrivial Jordan block.
+    With K, L and A_1 exact the values are the roots (_factor_roots) of the
+    irreducible factors of its charpoly and distinct means squarefree; else
+    numeric, at a relative 1e-6."""
+    K, L, semisimple = _reduction(fam, lam)
     if not semisimple:
         raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
-    return K, _dual_basis(K, P)
-
-
-def _reduced_derivatives(fam, K, L):
-    """(values, distinct): the eigenvalues of L A_1 K in spectral_order
-    and whether they are pairwise distinct.  With K, L and A_1 exact they
-    are the roots of the irreducible factors of its charpoly (exact when
-    linear) and distinct means squarefree; else numeric, at a relative 1e-6."""
     A1 = fam.rational_coefficient(1)
     if isinstance(L, list) and A1 is not None:
         factors = factor_rational_poly(charpoly(mat_mul(mat_mul(L, A1), K)))
-        values = [complex(r) for p, mult in factors for r in mult * _roots(p)]
-        return spectral_order(values), all(mult == 1 for _, mult in factors)
+        values = [r for p, mult in factors for r in _factor_roots(p) * mult]
+        return K, L, spectral_order(values), all(mult == 1 for _, mult in factors)
     B = np.asarray(L, dtype=complex) @ fam.coeffs[1] @ np.asarray(K, dtype=complex)
     values = spectral_order(np.linalg.eigvals(B))
     scale = max([abs(v) for v in values] + [1.0])
     gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
-    return values, all(g >= 1e-6 * scale for g in gaps)
+    return K, L, values, all(g >= 1e-6 * scale for g in gaps)
 
 
 def derivative_spectrum(fam, lam, ray=None):
     """First derivatives of the eigenvalue branches through a semisimple
     eigenvalue lam of A(0) by Kato's reduction process (Perturbation
     Theory for Linear Operators, II 2.3): the eigenvalues of the m x m
-    matrix L A_1 K, with K, L from _check_semisimple and A_1 the x^1
-    coefficient.  Exact when K, L and A_1 are: at a rational eigenvalue of
-    a real A(0), with A_1 real.  `ray` is no longer read."""
-    return _reduced_derivatives(fam, *_check_semisimple(fam, lam))[0]
+    matrix L A_1 K (_reduced_derivatives), with A_1 the x^1 coefficient.
+    Exact when K, L and A_1 are: at a rational eigenvalue of a real A(0),
+    with A_1 real.  `ray` is no longer read."""
+    return _reduced_derivatives(fam, lam)[2]
 
 
 # -- semisimple eigenline convergence ---------------------------------
@@ -512,8 +511,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     charpoly squarefree (else DerivativesCollide).  The residual is the
     largest gap from an eigenline of lam's cluster to span(K); a ray point
     fails where _eigenlines(A(x), lam, m) raises, the other lines unread."""
-    K, L = _check_semisimple(fam, lam)
-    ders, distinct = _reduced_derivatives(fam, K, L)
+    K, L, ders, distinct = _reduced_derivatives(fam, lam)
     if not distinct:
         raise DerivativesCollide(f"first-order derivatives {ders} repeat")
     m = len(ders)
@@ -601,7 +599,10 @@ def gevec_convergence(fam, ray=None):
     residual is the larger of the gap from an orthonormal basis Q of the
     span to the K nearest the final line and ||N Q - Q (Q^H N Q)||_2, with
     N = A(0) - (mean of p's roots) scaled to norm <= 1 so as not to magnify
-    the round-off of near-parallel lines.  ValueError unless A(0) is real."""
+    the round-off of near-parallel lines.  ValueError, before any ray point, unless A(0) is real."""
+    A0r = fam.rational_coefficient(0)
+    if A0r is None:
+        raise ValueError("exact block data needs a real rational constant term")
     xs, eigs = _ray_tail(ray, lambda x: _eigenlines(fam(x)))
     points = []
     for w, v in eigs:
@@ -621,9 +622,6 @@ def gevec_convergence(fam, ray=None):
 
     # per irreducible factor p of A(0)'s charpoly: the scaled shift N and an
     # orthonormal basis U of its primary component
-    A0r = fam.rational_coefficient(0)
-    if A0r is None:
-        raise ValueError("exact block data needs a real rational constant term")
     A0 = fam(0.0)
     spaces = []
     for p, _ in factor_rational_poly(charpoly(A0r)):

@@ -26,7 +26,7 @@ from torfan.exact_algebra import (
     zero_matrix,
 )
 from torfan.exact_algebra.linalg import _kernel, _kernel_chain
-from torfan.perturbation import MatrixFamily, _check_semisimple, _dual_basis
+from torfan.perturbation import MatrixFamily, _dual_basis, _reduced_derivatives
 
 F = Fraction
 
@@ -129,10 +129,10 @@ def test_exact_size_three_block_is_not_semisimple():
         ]
     )
     with pytest.raises(NotSemisimple):
-        _check_semisimple(fam, 0)
+        _reduced_derivatives(fam, 0)
     # at a semisimple eigenvalue K spans the exact kernel and L is dual to it
     diag = MatrixFamily.make([[(0,), (0,)], [(0,), (0, 1)]])
-    K, L = _check_semisimple(diag, 0)
+    K, L, _, _ = _reduced_derivatives(diag, 0)
     assert K == transpose(nullspace(zero_matrix(2, 2)))
     assert mat_mul(L, K) == identity(2)
 
@@ -155,6 +155,21 @@ def test_kato_on_a_complex_constant_term_warns(capsys, tmp_path):
     eigenvalues from, and the report says so."""
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({"entries": [[[[0, 1]], [1]], [[0], [0, 1]]]}))
+    code = main(["kato", "--input", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["gevec_warning"] == (
+        "ValueError: exact block data needs a real rational constant term"
+    )
+
+
+def test_kato_refuses_a_complex_constant_term_before_the_ray(capsys, tmp_path):
+    """A(x) = [[i, 1], [0, i]] is one Jordan block at every x: its
+    eigenvectors are dependent at every ray point, so the complex A(0) must
+    be refused before the ray is read, not reported as ClusterAmbiguous."""
+    path = tmp_path / "complex_block.json"
+    path.write_text(json.dumps({"entries": [[[[0, 1]], [1]], [[0], [[0, 1]]]]}))
     code = main(["kato", "--input", str(path), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0

@@ -130,14 +130,21 @@ def test_cluster_radius_rule():
         _cluster_radius(w, 0.0, 0)
 
 
-def test_semisimple_check_runs_once(monkeypatch):
+@pytest.mark.parametrize(
+    "check",
+    [total_projection_limit_check, derivative_spectrum, semisimple_convergence_check],
+    ids=lambda check: check.__name__,
+)
+def test_semisimple_check_runs_once(monkeypatch, check):
+    # each lambda-check reads A(0) at lambda once, through _reduction
     fam = MatrixFamily.make([[(0,), (0, 1)], [(0, 1), (0,)]])
     calls = []
-    check = perturbation._check_semisimple
+    reduction = perturbation._reduction
     monkeypatch.setattr(
-        perturbation, "_check_semisimple", lambda *a: calls.append(a) or check(*a)
+        perturbation, "_reduction", lambda *a: calls.append(a) or reduction(*a)
     )
-    assert semisimple_convergence_check(fam, 0).ok
+    result = check(fam, 0)
+    assert result == [1, -1] if check is derivative_spectrum else result.ok
     assert len(calls) == 1
 
 
@@ -230,14 +237,9 @@ def test_collision_is_exact_on_real_families():
     # derivatives 1 and 1 + 2^-40: closer than the numeric test's 1e-6,
     # but a squarefree reduced charpoly
     near = MatrixFamily.make([[(0, 1), (0,)], [(0,), (0, 1 + 2.0 ** -40)]])
-    values, distinct = perturbation._reduced_derivatives(
-        near, *perturbation._check_semisimple(near, 0)
-    )
+    values, distinct = perturbation._reduced_derivatives(near, 0)[2:]
     assert distinct and sorted(values, key=abs) == [1, 1 + 2.0 ** -40]
-    real = JORDAN_A1[0]
-    assert perturbation._reduced_derivatives(
-        real, *perturbation._check_semisimple(real, 0)
-    ) == ([1, 1], False)
+    assert perturbation._reduced_derivatives(JORDAN_A1[0], 0)[2:] == ([1, 1], False)
 
 
 COMPLEX = MatrixFamily.make(
