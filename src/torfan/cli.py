@@ -8,7 +8,6 @@ validation errors.
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -170,27 +169,20 @@ def parse_fan_document(text):
     return fan, P, options
 
 
-def _real(x, where):
-    try:
-        if not isinstance(x, bool) and math.isfinite(x):
-            return float(x)
-    except (TypeError, OverflowError):
-        pass
-    raise ParseError(f"{where}: {x!r} is not a finite number")
-
-
 def _coefficient(c, where):
     if not isinstance(c, list):
-        return complex(_real(c, where))
+        return _rational(c, where)
     if len(c) == 2:
-        return complex(_real(c[0], where), _real(c[1], where))
+        re, im = (_rational(v, where) for v in c)
+        return complex(re, im) if im else re
     raise ParseError(f"{where}: coefficient must be a number or [re, im]")
 
 
 def parse_matrix_document(text):
     """JSON matrix-family document -> MatrixFamily.  Each entry is a
-    list of polynomial coefficients in ascending powers of x; a complex
-    coefficient is written [re, im]."""
+    list of polynomial coefficients in ascending powers of x, each read
+    exactly by _rational (an integer, a "p/q" string or a decimal as
+    written); a complex coefficient is written [re, im]."""
     from .perturbation import MatrixFamily
 
     doc = _load_json(text)
@@ -410,20 +402,19 @@ def _cmd_separate(fan, P, options, args, spec=None):
 
 
 def _cmd_kato(fam, args):
-    from .perturbation import default_ray, gevec_convergence, pole_exponent, track_eigenvalues
+    from .perturbation import default_ray, gevec_convergence, pole_exponents, track_eigenvalues
 
     ray = default_ray()
     paths = track_eigenvalues(fam, ray)
-    branches = []
-    for path in paths:
-        branches.append(
-            {
-                "start": complex(path.samples[0][1]),
-                "limit": complex(path.samples[-1][1]),
-                "matched": path.matched,
-                "pole_exponent": pole_exponent(fam, path),
-            }
-        )
+    branches = [
+        {
+            "start": complex(path.samples[0][1]),
+            "limit": complex(path.samples[-1][1]),
+            "matched": path.matched,
+            "pole_exponent": exponent,
+        }
+        for path, exponent in zip(paths, pole_exponents(fam, paths))
+    ]
     branches.sort(key=lambda b: (abs(complex(b["limit"])), abs(complex(b["start"]))))
     out = {"size": fam.size, "branches": branches}
     try:

@@ -52,7 +52,7 @@ __all__ = [
     "eigenprojection",
     "track_eigenvalues",
     "total_projection_limit_check",
-    "pole_exponent",
+    "pole_exponents",
     "derivative_spectrum",
     "subspace_distance",
     "semisimple_convergence_check",
@@ -70,8 +70,10 @@ def default_ray():
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """Square matrix whose entries are polynomials in a real parameter
-    x, stored as ascending complex coefficient lists."""
+    """Square matrix whose entries are polynomials in a real parameter x,
+    stored as ascending coefficient lists kept exact: ints and Fractions as
+    given, a float as its exact Fraction, a complex number only when its
+    imaginary part is nonzero.  Evaluation reads `coeffs`, derived from them."""
 
     size: int
     entries: tuple  # entries[i][j] = tuple of coefficients (c0, c1, ...)
@@ -96,11 +98,7 @@ class MatrixFamily:
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix family must be square")
-            cells = []
-            for cell in row:
-                if isinstance(cell, (int, float, complex, Fraction)):
-                    cell = (cell,)
-                cells.append(tuple(complex(c) for c in cell))
+            cells = [(c,) if isinstance(c, (int, float, complex, Fraction)) else c for c in row]
             # for |x| <= 1 the row sums of coefficient moduli bound
             # ||A(x)||_inf, and so every entry and eigenvalue modulus; twice
             # that must stay finite, so the distance of two eigenvalues does
@@ -108,7 +106,11 @@ class MatrixFamily:
             # modulus of finite parts overflows, hypot returns inf
             if math.isinf(2 * sum(math.hypot(c.real, c.imag) for cell in cells for c in cell)):
                 raise ValueError("a row's coefficient moduli sum beyond half the float range")
-            rows.append(tuple(cells))
+            rows.append(tuple(
+                tuple(c if isinstance(c, (int, Fraction)) else
+                      complex(c) if c.imag else Fraction(c.real) for c in cell)
+                for cell in cells
+            ))
         return MatrixFamily(n, tuple(rows))
 
     def __call__(self, x):
@@ -118,12 +120,10 @@ class MatrixFamily:
         return A
 
     def rational_coefficient(self, d):
-        """The x^d coefficient (d <= 1) as an exact rational matrix, or
-        None when any entry has an imaginary part."""
-        C = self.coeffs[d]
-        if C.imag.any():
-            return None
-        return [[Fraction(c) for c in row] for row in C.real.tolist()]
+        """The x^d coefficient as the exact entries stored, 0 past an
+        entry's degree, or None when any entry is complex."""
+        C = [[cell[d] if d < len(cell) else 0 for cell in row] for row in self.entries]
+        return None if any(isinstance(c, complex) for row in C for c in row) else C
 
 
 @dataclass
@@ -370,24 +370,25 @@ class TotalProjectionReport:
 def _reduction(fam, lam):
     """(K, L, semisimple): the columns of K span the generalized eigenspace
     of A(0) at lam, the rows L are dual to them (L K = I, and K L is the
-    total projection), and semisimple says whether A(0) is diagonalizable
-    there.  Exact where the chain of X - lam (_primary) at a finite real lam
+    total projection), and semisimple(), for the caller that asks, decides
+    whether A(0) is diagonalizable there.  Exact where the _kernel_chain of
+    an integer multiple (_int_poly_at) of N = A(0) - lam at a finite real lam
     of a real A(0) finds a kernel: K spans ker N^p, L is _dual_basis(K, N^p)
-    and semisimple means p = 1, N = A(0) - lam.  Else K is an orthonormal
-    basis of the range of the total projection P of the m eigenvalues
-    nearest lam and L = K^H P: m and semisimple are the factor's of A(0)'s
-    charpoly over Q with a root (_factor_roots) within a relative 1e-8 of
-    lam; for a complex A(0), m counts eig(A(0)) there and semisimple means
-    rank(A(0) - lam) = n - m at 1e-8.  ValueError when m = 0: lam is not an
-    eigenvalue."""
+    and semisimple means p = 1.  Else K is an orthonormal basis of the range
+    of the total projection P of the m eigenvalues nearest lam and L = K^H P:
+    m is the multiplicity of the factor p of A(0)'s charpoly over Q with a
+    root (_factor_roots) within a relative 1e-8 of lam, and semisimple means
+    _primary(A(0), p) has two kernels; for a complex A(0), m counts eig(A(0))
+    there and semisimple means rank(A(0) - lam) = n - m at 1e-8.  ValueError
+    when m = 0: lam is not an eigenvalue."""
     A0r = fam.rational_coefficient(0)
     z = complex(lam)
     if A0r is not None and not z.imag and np.isfinite(z):
         X_lam = _poly_from_coeffs([-(lam if isinstance(lam, Fraction) else Fraction(z.real)), 1])
-        kernels, P, _ = _primary(A0r, X_lam)
+        kernels, P, _ = _kernel_chain(_int_poly_at(*_clear(A0r), X_lam))
         if len(kernels) > 1:
             K = transpose(kernels[-1])
-            return K, _dual_basis(K, P), len(kernels) == 2
+            return K, _dual_basis(K, P), lambda: len(kernels) == 2
     A0 = fam(0.0)
     eig0 = _eigen_decomposition(A0)
     w = eig0[0]
@@ -400,11 +401,11 @@ def _reduction(fam, lam):
         p, m = next(((p, k) for r, p, k in roots if abs(r - lam) < tol), (None, 0))
     if not m:
         raise ValueError(f"{lam} is not an eigenvalue of the family at 0")
-    semisimple = (len(_primary(A0r, p)[0]) == 2 if A0r is not None else
-                  np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m)
     P = _total_projection(A0, eig0, lam, m)
     K = np.linalg.svd(P)[0][:, :m]
-    return K, K.conj().T @ P, semisimple
+    return K, K.conj().T @ P, lambda: (
+        len(_primary(A0r, p)[0]) == 2 if A0r is not None else
+        np.linalg.matrix_rank(A0 - lam * np.eye(len(w)), tol=1e-8) == len(w) - m)
 
 
 def _dual_basis(K, P):
@@ -436,25 +437,29 @@ def total_projection_limit_check(fam, lam, ray=None):
     return TotalProjectionReport(*_ray_residual(ray, error, scale, exact), limit)
 
 
-def pole_exponent(fam, path):
-    """_loglog_slope of ||P(x)||_2 over the last six samples of a
-    tracked branch (an EigenPath), P the total projection
-    (_total_projection) of the eigenvalues within 1e-12 of it: -k for a
-    pole of order k.  None when the cluster cannot be resolved: its gap
-    has closed (ClusterAmbiguous), or the contour about it meets the
-    spectrum (ContourHitsSpectrum) or is not idempotent (IdempotencyFailed)."""
-    xs, norms = [], []
-    for x, lam in path.samples[-6:]:
-        A = fam(x)
+def pole_exponents(fam, paths):
+    """Per tracked branch (an EigenPath of track_eigenvalues), the
+    _loglog_slope of ||P(x)||_2 over its last six samples, P the total
+    projection (_total_projection) of the eigenvalues within 1e-12 of it:
+    -k for a pole of order k.  The branches share their ray points, and
+    each point is decomposed once for all of them.  None for a branch whose
+    cluster cannot be resolved: its gap has closed (ClusterAmbiguous), or
+    the contour about it meets the spectrum (ContourHitsSpectrum) or is not
+    idempotent (IdempotencyFailed)."""
+    xs, norms = [], [[] for _ in paths]
+    for point in zip(*(path.samples[-6:] for path in paths)):
+        xs.append(point[0][0])
+        A = fam(xs[-1])
         eig = _eigen_decomposition(A)
-        m = int(np.sum(np.abs(eig[0] - lam) <= 1e-12))
-        try:
-            P = _total_projection(A, eig, lam, m)
-        except (ClusterAmbiguous, ContourHitsSpectrum, IdempotencyFailed):
-            return None
-        xs.append(x)
-        norms.append(np.linalg.norm(P, 2))
-    return _loglog_slope(xs, norms)
+        for b, (_, lam) in enumerate(point):
+            if norms[b] is None:
+                continue
+            m = int(np.sum(np.abs(eig[0] - lam) <= 1e-12))
+            try:
+                norms[b].append(np.linalg.norm(_total_projection(A, eig, lam, m), 2))
+            except (ClusterAmbiguous, ContourHitsSpectrum, IdempotencyFailed):
+                norms[b] = None
+    return [None if ys is None else _loglog_slope(xs, ys) for ys in norms]
 
 
 # -- derivative spectrum ----------------------------------------------
@@ -468,7 +473,7 @@ def _reduced_derivatives(fam, lam):
     irreducible factors of its charpoly and distinct means squarefree; else
     numeric, at a relative 1e-6."""
     K, L, semisimple = _reduction(fam, lam)
-    if not semisimple:
+    if not semisimple():
         raise NotSemisimple(f"{lam} carries a nontrivial Jordan block")
     A1 = fam.rational_coefficient(1)
     if isinstance(L, list) and A1 is not None:

@@ -235,11 +235,12 @@ def test_kato_warns_when_branches_meet_at_the_ray_end(capsys, tmp_path):
 
 def test_kato_reads_the_primary_components_of_a_float_rounded_a0(capsys, tmp_path):
     # S diag(x, x, 1, 2) S^-1 in floats: A(0)'s entries such as 1/11 are
-    # rounded, and read as exact they split the double eigenvalue 0 into
-    # an exact 0 and a root near 1e-15 of an irreducible cubic.  The
-    # primary components of X and of the cubic add up to 4, so gevec
-    # reports: one line at 0 lies in the cubic's component, where it is
-    # not invariant under A(0) - c, c the mean of the cubic's roots
+    # rounded to 17-digit decimals, and read as those decimals they split
+    # the double eigenvalue 0 into an exact 0 and a root near 1e-15 of an
+    # irreducible cubic.  The primary components of X and of the cubic add
+    # up to 4, so gevec reports: one line at 0 lies in the cubic's
+    # component, where it is not invariant under A(0) - c, c the mean of
+    # the cubic's roots, and stays about 0.627 from invariant
     S = [[-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2]]
     S = [[Fraction(v) for v in row] for row in S]
 
@@ -254,7 +255,7 @@ def test_kato_reads_the_primary_components_of_a_float_rounded_a0(capsys, tmp_pat
     assert results["gevec_ok"] is False
     clusters = results["gevec_clusters"]
     assert [c["size"] for c in clusters] == [1, 1, 1, 1]
-    assert sum(abs(c["final_distance"] - 0.47) < 0.01 for c in clusters) == 1
+    assert sum(abs(c["final_distance"] - 0.627) < 0.01 for c in clusters) == 1
 
 
 def test_kato_at_defective_irrational_eigenvalues(capsys, tmp_path):
@@ -275,6 +276,47 @@ def test_kato_on_an_empty_family_is_a_validation_error(capsys):
     code, out, err = run(capsys, "kato", "--input", str(path))
     assert code == 2 and not out
     assert err == "ValidationError: matrix family needs at least one row\n"
+
+
+def test_kato_on_a_bad_rational_is_a_parse_error(capsys):
+    path = Path(__file__).parent / "malformed" / "kato_bad_rational.json"
+    code, out, err = run(capsys, "kato", "--input", str(path))
+    assert code == 2 and not out
+    assert err == "ParseError: entries[0][0][0]: '1/0' is not a rational p/q\n"
+
+
+def test_matrix_document_reads_coefficients_exactly():
+    # a decimal by its text, a "p/q" string, and [re, 0] as its exact re
+    fam = parse_matrix_document(
+        json.dumps({"entries": [[[0.1, "1/11"], [[2.5, 0]]], [["-3/7"], [[0.5, 1]]]]})
+    )
+    assert fam.entries == (((Fraction(1, 10), Fraction(1, 11)), (Fraction(5, 2),)),
+                           ((Fraction(-3, 7),), (0.5 + 1j,)))
+    assert fam.rational_coefficient(1) == [[Fraction(1, 11), 0], [0, 0]]
+    assert fam.rational_coefficient(0) is None
+
+
+def test_kato_on_the_rational_example_converges(capsys):
+    # S diag(x, x, 1, 2) S^-1 written with "p/q" entries: read exactly,
+    # the double eigenvalue 0 of A(0) stays double, and the four lines
+    # converge, as the exact family does in test_perturbation.py
+    code, out, _ = run(capsys, "kato", "--input", example("kato_rational.json"), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["gevec_ok"] is True
+    assert [c["size"] for c in results["gevec_clusters"]] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["kato_upper.json", "kato_3x3.json", "kato_rational.json"])
+def test_kato_decomposes_each_pole_exponent_point_once(capsys, monkeypatch, name):
+    # the branches share the last six ray points: one eigen-decomposition
+    # each, for every branch's pole exponent
+    calls = []
+    decompose = perturbation._eigen_decomposition
+    monkeypatch.setattr(
+        perturbation, "_eigen_decomposition", lambda A: calls.append(A) or decompose(A)
+    )
+    code, _, _ = run(capsys, "kato", "--input", example(name), "--format", "json")
+    assert code == 0 and len(calls) == 6
 
 
 def test_matrix_document_complex_coefficients():
@@ -758,7 +800,7 @@ def test_every_command_on_every_example_ends_in_a_report_or_a_named_error(capsys
             cls = named[err.split(":")[0]]
             documented = issubclass(cls, (errors.ParseError, errors.ValidationError))
             assert code == (2 if documented else 1), where
-    assert statuses == {0: 80, 1: 7, 2: 15}
+    assert statuses == {0: 81, 1: 7, 2: 15}
 
 
 MALFORMED_CORPUS = sorted((Path(__file__).parent / "malformed").glob("*.json"))

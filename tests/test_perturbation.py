@@ -29,7 +29,7 @@ from torfan.perturbation import (
     derivative_spectrum,
     eigenprojection,
     gevec_convergence,
-    pole_exponent,
+    pole_exponents,
     semisimple_convergence_check,
     subspace_distance,
     total_projection_limit_check,
@@ -84,6 +84,23 @@ def test_family_evaluation_matches_per_entry_horner():
     for fam in families:
         for x in (0.0, 0.25, -1.5, 1e-6):
             assert np.array_equal(fam(x), _horner_per_entry(fam, x))
+
+
+def test_rational_coefficient_reads_every_degree_exactly():
+    # [[x^2/3, 1], [x^2/10, 1/7 + 2x]]: ints and Fractions are kept as
+    # given, a float as its exact Fraction, a complex number with a zero
+    # imaginary part as its real part, and entries of lower degree give 0
+    fam = MatrixFamily.make([[(0, 0, F(1, 3)), (1,)], [(0, 0, 0.1), (F(1, 7), 2 + 0j)]])
+    assert fam.rational_coefficient(0) == [[0, 1], [0, F(1, 7)]]
+    assert fam.rational_coefficient(1) == [[0, 0], [0, 2]]
+    assert fam.rational_coefficient(2) == [[F(1, 3), 0], [F(0.1), 0]]
+    assert fam.rational_coefficient(3) == [[0, 0], [0, 0]]
+    assert np.array_equal(fam(0.5), [[0.25 / 3, 1], [0.025, 1 / 7 + 1]])
+    tilted = MatrixFamily.make([[(0, 0, 1j)]])
+    assert tilted.rational_coefficient(2) is None
+    assert tilted.rational_coefficient(0) == [[0]]
+    with pytest.raises(ValueError, match="NaN"):  # a real NaN has no exact value
+        MatrixFamily.make([[float("nan")]])
 
 
 def test_eigenprojection_explicit():
@@ -461,7 +478,7 @@ def test_pole_exponent_is_none_where_the_circle_meets_the_spectrum():
     fam = MatrixFamily.make([[(0, 0, 1), (1,)], [(0,), (0,)]])
     paths = track_eigenvalues(fam)
     assert len(paths) == 2
-    assert [pole_exponent(fam, path) for path in paths] == [None, None]
+    assert pole_exponents(fam, paths) == [None, None]
 
 
 def test_subspace_distance_metric():
@@ -579,26 +596,45 @@ def test_gevec_convergence_keeps_the_ray_past_a_branch_point():
 
 
 
-def _conjugated_diagonal(seed, diagonal):
-    """S diag(diagonal) S^-1, each entry of diagonal a pair (c0, c1) for
-    c0 + c1 x, for a 4 x 4 integer S with entries in -3..3 drawn from
-    random.Random(seed) and redrawn until S^-1 is integral."""
-    rng = random.Random(seed)
+def _invertible(rng):
+    """(S, S^-1) for a 4 x 4 integer S with entries in -3..3 drawn from rng
+    and redrawn until invertible."""
     while True:
         S = [[F(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
         try:
-            Si = inverse(S)
+            return S, inverse(S)
         except Inconsistent:
             continue
-        if all(v.denominator == 1 for row in Si for v in row):
-            break
 
+
+def _integral(M):
+    return all(v.denominator == 1 for row in M for v in row)
+
+
+def _conjugates(S, Si, diagonal):
+    """(A0, A1) with A0 + x A1 = S diag(diagonal) S^-1, each entry of
+    diagonal a pair (c0, c1) for c0 + c1 x."""
     def conjugate(values):
         D = [[F(v) if i == j else F(0) for j in range(4)] for i, v in enumerate(values)]
         return mat_mul(mat_mul(S, D), Si)
 
-    A0, A1 = (conjugate([d[k] for d in diagonal]) for k in (0, 1))
-    return MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(4)] for i in range(4)])
+    return tuple(conjugate([d[k] for d in diagonal]) for k in (0, 1))
+
+
+def _pencil(A0, A1):
+    """The family A0 + x A1."""
+    n = len(A0)
+    return MatrixFamily.make([[(A0[i][j], A1[i][j]) for j in range(n)] for i in range(n)])
+
+
+def _conjugated_diagonal(seed, diagonal):
+    """S diag(diagonal) S^-1 (_conjugates), S from _invertible on
+    random.Random(seed), redrawn until S^-1 is integral."""
+    rng = random.Random(seed)
+    S, Si = _invertible(rng)
+    while not _integral(Si):
+        S, Si = _invertible(rng)
+    return _pencil(*_conjugates(S, Si, diagonal))
 
 
 DOUBLE = [(0, 1), (0, 1), (1, 0), (2, 0)]  # diag(x, x, 1, 2)
@@ -622,6 +658,27 @@ def test_gevec_convergence_at_an_eigenvalue_repeated_along_the_ray(request, seed
     rep = gevec_convergence(_conjugated_diagonal(seed, diagonal))
     assert rep.ok
     assert [c.size for c in rep.clusters] == [1, 1, 1, 1]
+
+
+def test_exact_entries_keep_the_continuity_checks_exact():
+    """S diag(x, 2x, 1, 2) S^-1 with the first S of _invertible on
+    random.Random(seed), seeds 1-40, kept where S^-1 is not integral (39
+    families, with entries such as 1/11): the family keeps its entries
+    exactly, Kato's reduction reads the derivatives 1 and 2 at 0 exactly,
+    and gevec reads four converging lines."""
+    kept = 0
+    for seed in range(1, 41):
+        S, Si = _invertible(random.Random(seed))
+        if _integral(Si):
+            continue
+        kept += 1
+        A0, A1 = _conjugates(S, Si, [(0, 1), (0, 2), (1, 0), (2, 0)])
+        fam = _pencil(A0, A1)
+        assert fam.rational_coefficient(0) == A0 and fam.rational_coefficient(1) == A1, seed
+        assert derivative_spectrum(fam, 0) == [1, 2], seed
+        rep = gevec_convergence(fam)
+        assert rep.ok and [c.size for c in rep.clusters] == [1, 1, 1, 1], seed
+    assert kept == 39
 
 
 def test_gevec_convergence_where_a_complex_pair_turns_real():
@@ -697,6 +754,22 @@ def test_continuity_checks_at_irrational_eigenvalues(name):
             rep = check(fam, lam)
             assert rep.ok and abs(rep.slope - 1) < 0.05, (lam, check.__name__)
     assert gevec_convergence(fam).ok
+
+
+def test_total_projection_decides_no_semisimplicity(monkeypatch):
+    """At an irrational eigenvalue of a real A(0) the total projection
+    needs only the multiplicity of its factor: no _primary chain decides
+    semisimplicity, which only the reduced derivatives ask for."""
+    fam = _plus_seeded_a1(IRRATIONAL_CASES["sqrt2"]())
+    calls = []
+    primary = perturbation._primary
+    monkeypatch.setattr(perturbation, "_primary", lambda *a: calls.append(a) or primary(*a))
+    for lam in (2 ** 0.5, -(2 ** 0.5)):
+        rep = total_projection_limit_check(fam, lam)
+        assert rep.ok and abs(rep.slope - 1) < 0.05, lam
+    assert calls == []
+    derivative_spectrum(fam, 2 ** 0.5)
+    assert [p.pretty() for _, p in calls] == ["X^2 - 2"]
 
 
 # X^2 - 2 squared: a Jordan block of size 2 at each of +-sqrt(2)
