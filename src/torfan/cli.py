@@ -8,7 +8,9 @@ validation errors.
 
 import argparse
 import json
+import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .bundle_blowup import blowup_face, nlb_from_k
@@ -47,51 +49,53 @@ __all__ = [
     "render_report",
 ]
 
-COMMANDS = (
-    "validate",
-    "qh",
-    "sh",
-    "mirror",
-    "critical",
-    "galkin",
-    "barycentre",
-    "linebundle",
-    "blowup",
-    "separate",
-    "kato",
-)
-
 
 # -- document parsing -------------------------------------------------
 
 
+class _Number(str):
+    """A JSON number token as written, never a float; its repr is its text."""
+
+    __repr__ = str.__str__
+
+
+class _Integer(_Number):
+    """A JSON integer token."""
+
+
 def _load_json(text):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_Integer, parse_float=_Number, parse_constant=_Number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("document nests too deeply")
 
 
-def _float_range(x, value, where):
+def _rational(text, where):
+    """The exact rational that a number token, a "p/q" string or a flag
+    spells.  Decimal reads it without expanding its exponent, and a nonzero
+    number whose float is infinite or 0 is outside the range of a float; so
+    a Fraction is built only from a bounded exponent (p/q has none)."""
     try:
-        float(x)
+        if "/" in text:
+            x = Fraction(text)
+        elif not (x := Decimal(text)).is_finite():
+            raise ValueError
+        size = abs(float(x))
     except OverflowError:
-        raise ParseError(f"{where}: {value!r} is outside the range of a float")
-    return x
-
-
-def _rational(value, where):
-    try:
-        x = Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{where}: {value!r} is not a rational p/q")
-    return _float_range(x, value, where)
+        size = math.inf
+    except (TypeError, ValueError, ZeroDivisionError, InvalidOperation):
+        raise ParseError(f"{where}: {text!r} is not a rational p/q")
+    if x and not 0 < size < math.inf:
+        raise ParseError(f"{where}: {text!r} is outside the range of a float")
+    return Fraction(x)
 
 
 def _integer(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not isinstance(value, _Integer):
         raise ParseError(f"{where}: {value!r} is not an integer")
-    return _float_range(value, value, where)
+    return int(_rational(value, where))
 
 
 def _list(value, where):
@@ -162,9 +166,7 @@ def parse_fan_document(text):
             raise ParseError("blowup needs a field I")
         options["blowup"] = {
             "I": _edge_indices(b["I"], "blowup.I", len(edges), "blowup"),
-            "epsilon": _rational(b["epsilon"], "blowup.epsilon")
-            if "epsilon" in b
-            else None,
+            "epsilon": _rational(b["epsilon"], "blowup.epsilon") if "epsilon" in b else None,
         }
     return fan, P, options
 
@@ -210,9 +212,7 @@ def parse_matrix_document(text):
 def _ser(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) or value is None:
         return value
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
@@ -274,7 +274,7 @@ def _omega_report(A, P):
     return chi, {
         "charpoly": chi.pretty(),
         "minpoly": mu.pretty(),
-        "omega_eigenvalues": spectral_order(exact_roots(chi)),
+        "omega_eigenvalues": spectral_order(map(complex, exact_roots(chi))),
     }
 
 
@@ -465,39 +465,41 @@ def _render_text(value, lines, depth, label=None):
 # -- dispatch ---------------------------------------------------------
 
 
+# every command with its handler, in argparse's order; kato reads a matrix document
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "qh": _cmd_qh,
+    "sh": _cmd_sh,
+    "mirror": _cmd_mirror,
+    "critical": _cmd_critical,
+    "galkin": _cmd_galkin,
+    "barycentre": _cmd_barycentre,
+    "linebundle": _cmd_linebundle,
+    "blowup": _cmd_blowup,
+    "separate": _cmd_separate,
+    "kato": _cmd_kato,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
 def run_command(cmd, text, args):
     """Dispatch a command against a raw document; returns the report
     dict (with a command echo)."""
     if cmd == "kato":
-        fam = parse_matrix_document(text)
-        results = _cmd_kato(fam, args)
+        results = _cmd_kato(parse_matrix_document(text), args)
     else:
         fan, P, options = parse_fan_document(text)
         # a document with a bundle field denotes the total space
         fan, P, spec = _apply_bundle(fan, P, options, args.k)
-        handler = {
-            "validate": _cmd_validate,
-            "qh": _cmd_qh,
-            "sh": _cmd_sh,
-            "mirror": _cmd_mirror,
-            "critical": _cmd_critical,
-            "galkin": _cmd_galkin,
-            "barycentre": _cmd_barycentre,
-            "linebundle": _cmd_linebundle,
-            "blowup": _cmd_blowup,
-            "separate": _cmd_separate,
-        }[cmd]
-        results = handler(fan, P, options, args, spec)
+        results = _HANDLERS[cmd](fan, P, options, args, spec)
     return {"command": cmd, "seed": args.seed, "results": results}
 
 
 def _epsilon(text):
     try:
-        return _float_range(Fraction(text), text, "--epsilon")
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q")
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return _rational(text, "--epsilon")
+    except ParseError as exc:  # argparse names the flag itself
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("--epsilon: "))
 
 
 def _build_parser():
@@ -528,19 +530,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(str(exc))
         report = run_command(args.command, text, args)
-    except (ParseError, ValidationError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except TorfanError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
     print(render_report(report, args.format))
     return 0
 

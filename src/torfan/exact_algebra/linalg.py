@@ -16,13 +16,13 @@ and run on Python ints; jordan_profile reads its factors off minpoly,
 their multiplicities off traces by Newton's identities, and ranks p(M)^j
 only below p's exponent in minpoly.  Both it and the primary components
 take p(M), up to a factor, from ``_int_poly_at``.
-:func:`exact_roots` reads the complex roots of a rational polynomial off
-its exact factorization, in Python floats, one factor at a time by
-``_factor_roots``, which :mod:`torfan.perturbation` also reads.  The
-numeric entry points are :func:`to_numpy` and :func:`complex_eigen`,
-whose results are residual-checked; they alone import numpy, when first
-called.  Spectra are ordered by :func:`spectral_order` and paired across
-samples by :func:`match_nearest`.
+:func:`exact_roots` reads the roots of a rational polynomial off its
+exact factorization, a rational root as a Fraction and the others in
+Python floats, by ``_factor_roots``, which :mod:`torfan.perturbation`
+also reads.  The numeric entry points are :func:`to_numpy` and
+:func:`complex_eigen`, whose results are residual-checked; they alone
+import numpy, when first called.  Spectra are ordered by
+:func:`spectral_order` and paired across samples by :func:`match_nearest`.
 """
 
 from cmath import rect
@@ -522,12 +522,12 @@ def _aberth(c):
 
 
 def _factor_roots(f):
-    """The complex roots of an irreducible monic rational polynomial f, which
-    is squarefree: exact when f is linear, else from ``_aberth`` in Python
-    floats.  Raises NonConvergence when a root's relative backward error on f
-    exceeds ROOT_BACKWARD_ERROR."""
+    """The roots of an irreducible monic rational polynomial f, which is
+    squarefree: the Fraction -c0 when f is linear, else complex floats from
+    ``_aberth``.  Raises NonConvergence when a root's relative backward error
+    on f exceeds ROOT_BACKWARD_ERROR."""
     if f.degree() == 1:
-        return [complex(-f.coeff((0,)))]
+        return [-f.coeff((0,))]
     c = [complex(f.coeff((j,))) for j in range(f.degree() + 1)]
     zs = _aberth(c)
     worst = max(_horner(c, z)[2] for z in zs)
@@ -539,10 +539,10 @@ def _factor_roots(f):
 
 
 def exact_roots(p):
-    """Complex roots of a univariate rational polynomial, each repeated by its
-    multiplicity; a constant gives [].  The multiplicities come from
-    :func:`factor_rational_poly`, the roots of each factor from
-    ``_factor_roots``."""
+    """Roots of a univariate rational polynomial, a rational one as a
+    Fraction, each repeated by its multiplicity; a constant gives [].  The
+    multiplicities come from :func:`factor_rational_poly`, the roots of each
+    factor from ``_factor_roots``."""
     return [z for f, mult in factor_rational_poly(p) for z in _factor_roots(f) * mult]
 
 

@@ -518,7 +518,7 @@ def semisimple_convergence_check(fam, lam, ray=None):
     fails where _eigenlines(A(x), lam, m) raises, the other lines unread."""
     K, L, ders, distinct = _reduced_derivatives(fam, lam)
     if not distinct:
-        raise DerivativesCollide(f"first-order derivatives {ders} repeat")
+        raise DerivativesCollide(f"first-order derivatives {', '.join(map(str, ders))} repeat")
     m = len(ders)
     Q = Subspace.from_vectors(K).orthonormal_basis
 

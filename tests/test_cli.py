@@ -319,6 +319,14 @@ def test_kato_decomposes_each_pole_exponent_point_once(capsys, monkeypatch, name
     assert code == 0 and len(calls) == 6
 
 
+def test_matrix_document_reads_a_decimal_as_written():
+    # 34 significant digits, beyond a float's 17: the token's text is read
+    text = '{"entries": [[[0.1000000000000000055511151231257827, 0.1, -2.5e-3]]]}'
+    assert parse_matrix_document(text).entries == (
+        ((Fraction("0.1000000000000000055511151231257827"), Fraction(1, 10), Fraction(-1, 400)),),
+    )
+
+
 def test_matrix_document_complex_coefficients():
     fam = parse_matrix_document(
         json.dumps({"entries": [[[[0, 1]], [0]], [[0], [1, 2]]]})
@@ -425,11 +433,14 @@ def test_separate_radius_out_of_range_is_a_validation_error(capsys, epsilon, mes
 
 
 def test_separate_radius_beyond_the_floats_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["separate", "--input", example("p1xp1_nlb.json"), "--epsilon=1e400"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert "'1e400' is outside the range of a float" in err and "Traceback" not in err
+    # a float that is infinite, or 0 for a nonzero number, is refused at
+    # once, before 10**10000000 is built
+    for epsilon in ("1e400", "1e-10000000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--input", example("p1xp1_nlb.json"), f"--epsilon={epsilon}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert err.endswith(f"argument --epsilon: '{epsilon}' is outside the range of a float\n")
 
 
 def test_perturb_and_separate_beyond_the_floats_is_a_validation_error():
@@ -828,7 +839,13 @@ def test_every_command_on_the_malformed_corpus_ends_in_a_report_or_a_named_error
 
 @pytest.mark.parametrize(
     "name,entry",
-    [("lambda_overflow", "lambdas[0]: '1e400'"), ("edge_overflow", "edges[2][1]: -1000")],
+    [
+        ("lambda_overflow", "lambdas[0]: '1e400'"),
+        ("lambda_unbounded_exponent", "lambdas[0]: '1e100000000'"),
+        ("lambda_underflow", "lambdas[0]: 1e-400"),
+        ("edge_overflow", "edges[2][1]: -1000"),
+        ("edge_5000_digits", "edges[2][1]: -1000"),
+    ],
 )
 @pytest.mark.parametrize("cmd", ["qh", "sh", "separate", "galkin", "critical"])
 def test_numbers_outside_float_range_are_parse_errors(capsys, name, entry, cmd):
@@ -836,6 +853,27 @@ def test_numbers_outside_float_range_are_parse_errors(capsys, name, entry, cmd):
     code, out, err = run(capsys, cmd, "--input", str(path))
     assert code == 2 and not out
     assert err.startswith(f"ParseError: {entry}") and "outside the range of a float" in err
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("nested_2000_deep", "document nests too deeply"),
+        ("not_utf8", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+)
+@pytest.mark.parametrize("cmd", ["validate", "kato"])
+def test_undecodable_and_deeply_nested_documents_are_parse_errors(capsys, name, message, cmd):
+    path = Path(__file__).parent / "malformed" / f"{name}.json"
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2 and not out
+    assert err == f"ParseError: {message}\n"
+
+
+def test_zero_reads_zero_at_any_exponent():
+    # a zero mantissa is 0 at once: no 10**exponent is built for it
+    doc = {**P2, "lambdas": ["0e100000000", "-0.0e-100000000", "-1"]}
+    assert parse_fan_document(json.dumps(doc))[1].lambdas == (0, 0, -1)
 
 
 @pytest.mark.parametrize(

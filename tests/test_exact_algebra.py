@@ -241,8 +241,8 @@ def test_exact_roots_match_the_eigensolver_on_the_ladder():
 
 def test_exact_roots_repeat_each_root_by_its_multiplicity():
     roots = exact_roots(_X ** 2 * (_X ** 2 + 1) ** 3 * (_X - F(1, 3)))
-    assert roots.count(0j) == 2 and roots.count(complex(F(1, 3))) == 1
-    rest = [z for z in roots if z not in (0j, complex(F(1, 3)))]
+    assert roots.count(0) == 2 and roots.count(F(1, 3)) == 1
+    rest = [z for z in roots if z not in (0, F(1, 3))]
     assert len(rest) == 6
     assert sorted(round(z.imag) for z in rest) == [-1] * 3 + [1] * 3
     assert all(abs(z - round(z.imag) * 1j) <= 1e-15 for z in rest)

@@ -235,6 +235,13 @@ def test_derivative_spectrum_values():
     assert derivative_spectrum(fam, 0) == pytest.approx([1 - 2 ** 0.5, 1 + 2 ** 0.5])
 
 
+def test_derivative_spectrum_is_exact_at_rational_roots():
+    # diag(x/3, 2x/7): the reduced charpoly's roots are linear factors, read
+    # as Fractions, not rounded through complex floats
+    fam = MatrixFamily.make([[(0, F(1, 3)), (0,)], [(0,), (0, F(2, 7))]])
+    assert derivative_spectrum(fam, 0) == [F(2, 7), F(1, 3)]
+
+
 # A(0) = 0 (real) or i I (complex), A_1 = [[1, 1], [0, 1]]: A(0) is
 # semisimple, but the reduced matrix is a Jordan block with derivative 1 twice
 JORDAN_A1 = [
